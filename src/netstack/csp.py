@@ -2,8 +2,7 @@
 
 Tasks are plain threads that share nothing and talk over MessageQueue
 instances.  A BindingRegistry maps demux keys (ethertype, IP protocol,
-port, connection 4-tuple) to queues, and run_dealer is the classify-
-and-forward loop each layer runs over its input queue.
+port, connection 4-tuple) to queues.
 """
 
 from __future__ import annotations
@@ -191,32 +190,3 @@ class TaskSet:
             t.join(max(0.0, stop_at - time.monotonic()))
         return self.census()
 
-
-def run_dealer(name: str, tasks: TaskSet, input_q: MessageQueue,
-               classify, registry: BindingRegistry,
-               counters: Counters) -> threading.Thread:
-    """Spawn the classify-and-forward loop shared by every layer.
-
-    classify(msg) returns (key, out) to forward, or None to drop; the
-    dealer itself never touches payloads.  The task exits when input_q
-    closes.
-    """
-
-    def loop():
-        while True:
-            try:
-                msg = input_q.recv()
-            except Closed:
-                return
-            try:
-                routed = classify(msg)
-            except Exception:
-                counters.incr(f"{name}.drop.classify")
-                continue
-            if routed is None:
-                counters.incr(f"{name}.drop.unclassified")
-                continue
-            key, out = routed
-            registry.dispatch(key, out)
-
-    return tasks.spawn(name, loop)

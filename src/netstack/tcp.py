@@ -2,14 +2,14 @@
 
 Each connection's TCB is run by two long-running tasks: an inbound
 processor fed segments by the TCP dealer, and a sender that cuts the
-send buffer into MSS-sized segments.  Every in-flight segment gets its
-own short-lived retransmission actor, parked on a private queue until
-the ACK notification or the retransmission deadline arrives, whichever
-is first.
+send buffer into MSS-sized segments.  The sender also runs the
+connection's retransmission timer: every in-flight segment waits in the
+TCB's ledger with its own deadline, and the sender sleeps until the
+earliest of them unless new data or an ACK wakes it first.
 
 The TCB's fields are guarded by one lock per connection with a
 condition variable for the sender and the application-facing calls;
-the queues carry segments and ACK notifications between tasks.
+the inbound queue carries segments from the dealer to the inbound task.
 """
 
 from __future__ import annotations
@@ -67,15 +67,16 @@ class TcbState(enum.Enum):
 
 
 class RetransmitEntry:
-    """One in-flight segment: its bytes, range, and notification queue."""
+    """One in-flight segment: its bytes, range, and retransmission timer."""
 
-    __slots__ = ("start", "end", "segment", "notify", "send_count")
+    __slots__ = ("start", "end", "segment", "rto", "deadline", "send_count")
 
-    def __init__(self, start: int, end: int, segment: bytes):
+    def __init__(self, start: int, end: int, segment: bytes, rto: float):
         self.start = start
         self.end = end
         self.segment = segment
-        self.notify = MessageQueue(1)
+        self.rto = rto
+        self.deadline = time.monotonic() + rto
         self.send_count = 1
 
 
@@ -137,33 +138,9 @@ class Tcb:
         except NetstackError:
             self.layer.counters.incr("tcp.drop.unroutable")
 
-    def _register_inflight(self, start: int, end: int, raw: bytes) -> RetransmitEntry:
-        entry = RetransmitEntry(start, end, raw)
-        self.ledger[start] = entry
-        self.layer.tasks.spawn(
-            f"tcp-rtx-{self.local[1]}-{start & 0xFFFF}", self._retransmit_actor, entry)
-        return entry
-
-    # --- the retransmission actor, one per in-flight segment ---
-
-    def _retransmit_actor(self, entry: RetransmitEntry) -> None:
-        deadline = self.layer.rto_s
-        while True:
-            try:
-                entry.notify.recv(timeout=deadline)
-            except Timeout:
-                if entry.send_count >= _RETRANSMIT_LIMIT:
-                    self.layer.counters.incr("tcp.reset.retransmit_limit")
-                    self.force_reset(ConnectionReset("retransmission limit reached"))
-                    return
-                entry.send_count += 1
-                self.layer.counters.incr("tcp.retransmit")
-                self._emit(entry.segment)
-                deadline *= 2
-                continue
-            except Closed:
-                return
-            return  # the ACK notification arrived
+    def _register_inflight(self, start: int, end: int, raw: bytes) -> None:
+        # callers hold _cond and notify it, so the sender rearms its timer
+        self.ledger[start] = RetransmitEntry(start, end, raw, self.layer.rto_s)
 
     # --- the inbound processor task ---
 
@@ -296,11 +273,6 @@ class Tcb:
             entry = self.ledger[start]
             if seq_le(entry.end, ack):
                 del self.ledger[start]
-                try:
-                    entry.notify.send_nowait("acked")
-                except Closed:
-                    pass
-                entry.notify.close()
 
     def _process_data(self, seg: wire.TcpSegment, out: list) -> None:
         if self.state is TcbState.TIME_WAIT:
@@ -346,17 +318,58 @@ class Tcb:
         self._time_wait_deadline = time.monotonic() + self.layer.time_wait_s
         self._enter(TcbState.TIME_WAIT)
 
-    # --- the sender task ---
+    # --- the sender task, which also runs the retransmission timer ---
 
     def run_sender(self) -> None:
         while True:
             with self._cond:
-                self._cond.wait_for(self._sender_has_work)
+                timer_fired = self._wait_for_sender_work()
                 if self.done:
                     return
-                raw = self._cut_segment_locked()
-            if raw is not None:
+                if timer_fired:
+                    out = self._retransmit_due_locked()
+                else:
+                    raw = self._cut_segment_locked()
+                    out = [] if raw is None else [raw]
+            if out is None:
+                self.layer.counters.incr("tcp.reset.retransmit_limit")
+                self.force_reset(ConnectionReset("retransmission limit reached"))
+                continue
+            for raw in out:
                 self._emit(raw)
+
+    def _wait_for_sender_work(self) -> bool:
+        """Wait until there is a segment to cut or the earliest ledger
+        deadline has passed; True means the deadline."""
+        while not self._sender_has_work():
+            # a closed TCB retransmits nothing; _finish will clear its ledger
+            if self.state is TcbState.CLOSED or not self.ledger:
+                self._cond.wait()
+                continue
+            earliest = min(entry.deadline for entry in self.ledger.values())
+            remaining = earliest - time.monotonic()
+            if remaining <= 0:
+                return True
+            # an ACK may remove the earliest entry meanwhile: one early wake
+            self._cond.wait(remaining)
+        return False
+
+    def _retransmit_due_locked(self) -> list[bytes] | None:
+        """Segments whose deadline has passed, each with its RTO doubled;
+        None once one of them has been sent _RETRANSMIT_LIMIT times."""
+        now = time.monotonic()
+        out = []
+        for entry in self.ledger.values():
+            if entry.deadline > now:
+                continue
+            if entry.send_count >= _RETRANSMIT_LIMIT:
+                return None
+            entry.send_count += 1
+            entry.rto *= 2
+            entry.deadline = now + entry.rto
+            out.append(entry.segment)
+        self.layer.counters.incr("tcp.retransmit", len(out))
+        return out
 
     def _sender_has_work(self) -> bool:
         if self.done:
@@ -449,8 +462,6 @@ class Tcb:
             if self.state is not TcbState.CLOSED:
                 self._enter(TcbState.CLOSED)
             self.done = True
-            for entry in self.ledger.values():
-                entry.notify.close()
             self.ledger.clear()
             self._cond.notify_all()
         self.inbound_q.close()

@@ -69,6 +69,11 @@ def solo():
             pass
 
 
+def tcp_task_names(st) -> list[str]:
+    """Live tasks of one stack's TCP layer; tcp-dealer alone when idle."""
+    return [name for name in st.tasks.names() if name.startswith("tcp-")]
+
+
 def wait_until(predicate, timeout: float = 2.0, interval: float = 0.01) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import ScriptedPeer, fast_config, wait_until
+from conftest import ScriptedPeer, fast_config, tcp_task_names, wait_until
 
 from netstack import addr, bench, errors, stack, wire
 from netstack.csp import MessageQueue
@@ -373,7 +373,7 @@ def test_criterion_08_state_machine_audit(solo, rig):
         assert wait_until(lambda: st.tcp.connection_count() == 0, timeout=3.0)
         assert wait_until(lambda: st.tasks.census("tcp-conn") == 0,
                           timeout=3.0), st.tasks.names()
-        assert wait_until(lambda: st.tasks.census("tcp-rtx") == 0,
+        assert wait_until(lambda: tcp_task_names(st) == ["tcp-dealer"],
                           timeout=3.0), st.tasks.names()
 
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from netstack import errors
-from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet, run_dealer
+from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
 
 
 def test_send_then_receive():
@@ -146,50 +146,21 @@ def test_dispatch_unbound_counts_drop():
 
 def test_dealer_forwards_by_key():
     counters = Counters()
-    tasks = TaskSet()
     reg = BindingRegistry("ip", counters)
     queues = {proto: MessageQueue(2000) for proto in (1, 6, 17)}
     for proto, q in queues.items():
         reg.bind(proto, q)
-    inbox = MessageQueue(256)
-    run_dealer("ip-dealer", tasks, inbox, lambda m: (m[0], m), reg, counters)
 
     import random
     rng = random.Random(3)
     sent = {1: 0, 6: 0, 17: 0}
     for _ in range(3000):
         proto = rng.choice((1, 6, 17))
-        inbox.send((proto, sent[proto]))
+        assert reg.dispatch(proto, (proto, sent[proto]))
         sent[proto] += 1
-    inbox.close()
-    tasks.join_all(5.0)
     for proto, q in queues.items():
         got = [q.recv(timeout=0.1) for _ in range(len(q))]
         assert [m[1] for m in got] == list(range(sent[proto]))
-
-
-def test_dealer_exits_when_input_closes():
-    counters = Counters()
-    tasks = TaskSet()
-    inbox = MessageQueue(4)
-    run_dealer("d", tasks, inbox, lambda m: None, BindingRegistry("r", counters), counters)
-    inbox.close()
-    assert tasks.join_all(2.0) == 0
-
-
-def test_dealer_counts_classify_failures():
-    counters = Counters()
-    tasks = TaskSet()
-    inbox = MessageQueue(4)
-
-    def classify(msg):
-        raise ValueError("boom")
-
-    run_dealer("d", tasks, inbox, classify, BindingRegistry("r", counters), counters)
-    inbox.send("x")
-    inbox.close()
-    tasks.join_all(2.0)
-    assert counters.get("d.drop.classify") == 1
 
 
 def test_taskset_census_and_prefix():

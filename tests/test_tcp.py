@@ -2,10 +2,11 @@
 
 import random
 import threading
+import time
 
 import pytest
 
-from conftest import ScriptedPeer, wait_until
+from conftest import ScriptedPeer, tcp_task_names, wait_until
 
 from netstack import addr, errors, wire
 from netstack.tcp import TcbState
@@ -279,7 +280,34 @@ def test_connections_and_tasks_drain_after_use(rig):
     assert wait_until(lambda: b.tcp.connection_count() == 0, timeout=4.0)
     assert wait_until(lambda: a.tasks.census("tcp-conn") == 0, timeout=4.0)
     assert wait_until(lambda: b.tasks.census("tcp-conn") == 0, timeout=4.0)
-    assert wait_until(lambda: a.tasks.census("tcp-rtx") == 0, timeout=4.0)
+    for st in (a, b):
+        assert wait_until(lambda: tcp_task_names(st) == ["tcp-dealer"],
+                          timeout=4.0), st.tasks.names()
+
+
+def test_transfer_spawns_no_task_per_segment(rig):
+    a, b = rig()
+    spawned = []
+    original = a.tasks.spawn
+
+    def recording_spawn(name, fn, *args):
+        spawned.append(name)
+        return original(name, fn, *args)
+
+    a.tasks.spawn = recording_spawn
+    payload = bytes(random.Random(26).randbytes(256 * 1024))
+    listener = b.tcp.listen(7015)
+    results = []
+    t = threading.Thread(target=_serve_echo_total,
+                         args=(listener, results, len(payload)))
+    t.start()
+    client = a.tcp.connect(B_IP, 7015)
+    client.send(payload, timeout=20.0)
+    t.join(timeout=20.0)
+    client.close()
+    assert results == [payload]
+    assert spawned and all(name.startswith(("tcp-conn-in-", "tcp-conn-send-"))
+                           for name in spawned), spawned
 
 
 def test_passive_open_walks_canonical_states(solo):
@@ -361,6 +389,36 @@ def test_half_open_handshake_is_reaped(solo):
     assert wait_until(lambda: s.counters.get("tcp.reap.half_open") == 1,
                       timeout=3.0)
     assert wait_until(lambda: s.tcp.connection_count() == 0, timeout=3.0)
+
+
+def test_retransmission_limit_resets_the_connection(solo):
+    s, far_end = solo(tcp_rto_ms=50)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    listener = s.tcp.listen(7104)
+    peer.announce(A_IP)
+    peer.send_tcp(A_IP, A_MAC, src_port=6003, dst_port=7104,
+                  seq=700, ack=0, flag_syn=True)
+    synack = peer.expect_tcp(lambda g: g.flag_syn and g.flag_ack)
+    peer.send_tcp(A_IP, A_MAC, src_port=6003, dst_port=7104,
+                  seq=701, ack=(synack.seq + 1) % 2**32, flag_ack=True)
+    conn = listener.accept(timeout=2.0)
+    conn.send(b"never acknowledged")
+    arrivals = []
+    for _ in range(5):
+        seg = peer.expect_tcp()  # never ACKed, so the same segment returns
+        assert seg.payload == b"never acknowledged"
+        arrivals.append(time.monotonic())
+    assert peer.expect_tcp().flag_rst  # no sixth copy: the limit resets
+    with pytest.raises(errors.ConnectionReset):
+        conn.recv(timeout=3.0)
+    gaps = [later - earlier for earlier, later in zip(arrivals, arrivals[1:])]
+    for i, gap in enumerate(gaps):
+        nominal = 0.05 * 2 ** i  # the RTO doubles after each copy
+        assert 0.7 * nominal <= gap <= nominal + 0.1, gaps
+    assert s.counters.get("tcp.retransmit") == 4
+    assert s.counters.get("tcp.reset.retransmit_limit") == 1
+    assert wait_until(lambda: conn.tcb.ledger_size() == 0)
+    assert wait_until(lambda: s.tasks.census("tcp-conn") == 0), s.tasks.names()
 
 
 def test_stray_segment_gets_rst(solo):
