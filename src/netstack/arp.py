@@ -1,7 +1,10 @@
 """Address resolution.
 
-One dealer task owns the cache and the pending-request table outright;
-resolvers talk to it purely through messages, blocking on a private
+One dealer task owns the cache and the pending-request table outright.
+After every change to the cache it publishes a fresh read-only copy,
+which it never touches again, so a resolver that finds a live entry
+there returns at once without a message.  A miss or an expired entry
+goes to the dealer as a message, and the resolver blocks on a private
 reply queue until the answer or the timeout arrives.  Concurrent
 resolutions of one address share a single pending entry, so the wire
 sees at most the retry count of requests no matter how many callers
@@ -11,6 +14,7 @@ are waiting.
 from __future__ import annotations
 
 import time
+from types import MappingProxyType
 
 from netstack import wire
 from netstack.csp import Counters, MessageQueue, TaskSet
@@ -41,7 +45,8 @@ class ArpLayer:
         self.retries = retries
         self.cache_ttl_s = cache_ttl_ms / 1000.0
         self._cache = {}  # ip -> (mac, inserted_at), touched only by the dealer
-        self._pending = {}  # ip -> _Pending, same ownership
+        self._published = MappingProxyType({})  # read-only copy of _cache for resolvers
+        self._pending = {}  # ip -> _Pending, same ownership as _cache
 
     def start(self) -> None:
         self.eth.registry.bind(wire.ETHERTYPE_ARP, self.inbound)
@@ -49,9 +54,13 @@ class ArpLayer:
 
     def resolve(self, ip: bytes) -> bytes:
         """Block until ip maps to a MAC; raise ResolutionTimeout otherwise."""
+        ip = bytes(ip)
+        cached = self._published.get(ip)
+        if cached is not None and time.monotonic() - cached[1] < self.cache_ttl_s:
+            return cached[0]
         reply_q = MessageQueue(1)
         try:
-            self.inbound.send(("resolve", bytes(ip), reply_q))
+            self.inbound.send(("resolve", ip, reply_q))
         except Closed:
             raise ResolutionTimeout("resolver is shut down") from None
         try:
@@ -88,6 +97,11 @@ class ArpLayer:
                 self._handle_resolve(msg[1], msg[2])
             elif msg[0] == "static":
                 self._cache[msg[1]] = (msg[2], time.monotonic())
+                self._publish()
+
+    def _publish(self) -> None:
+        """Hand resolvers a new copy of the cache; the old one stays as it was."""
+        self._published = MappingProxyType(dict(self._cache))
 
     def _next_deadline(self) -> float | None:
         if not self._pending:
@@ -102,6 +116,7 @@ class ArpLayer:
             return
         # any valid sender mapping refreshes the cache, gratuitous ones included
         self._cache[pkt.sender_ip] = (pkt.sender_mac, time.monotonic())
+        self._publish()
         pending = self._pending.pop(pkt.sender_ip, None)
         if pending is not None:
             self._answer(pending, pkt.sender_mac)
@@ -120,6 +135,7 @@ class ArpLayer:
                 self._send_answer(reply_q, mac)
                 return
             del self._cache[ip]
+            self._publish()
         pending = self._pending.get(ip)
         if pending is None:
             pending = _Pending(time.monotonic() + self.timeout_s)

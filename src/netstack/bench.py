@@ -12,7 +12,7 @@ import csv
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from netstack import link, stack
 from netstack.config import StackConfig
@@ -29,6 +29,9 @@ class LatencyRecord:
     min_ms: float
     max_ms: float
     loss: float
+    # non-zero *.drop.* counters of both stacks, to tell what lost a reply;
+    # a diagnostic, so it stays out of the CSV
+    drops: dict = field(default_factory=dict, metadata={"csv": False})
 
 
 @dataclass
@@ -73,6 +76,7 @@ def bench_latency(levels, pings_each: int = 50, interval: float = 0.01,
             gate.wait()
             for t in threads:
                 t.join()
+            drops = _drop_counters(a=a, b=b)
         finally:
             a.down()
             b.down()
@@ -84,11 +88,19 @@ def bench_latency(levels, pings_each: int = 50, interval: float = 0.01,
             avg_ms=sum(rtts) / len(rtts) if rtts else float("nan"),
             min_ms=min(rtts) if rtts else float("nan"),
             max_ms=max(rtts) if rtts else float("nan"),
-            loss=1.0 - received / sent if sent else 0.0)
+            loss=1.0 - received / sent if sent else 0.0, drops=drops)
         records.append(record)
         if on_record:
             on_record(record)
     return records
+
+
+def _drop_counters(**stacks) -> dict:
+    """Every non-zero *.drop.* counter, keyed "<stack>:<counter>"."""
+    return {f"{name}:{key}": n
+            for name, s in stacks.items()
+            for key, n in sorted(s.counters.snapshot().items())
+            if ".drop." in key and n}
 
 
 def _client_payload(index: int, size: int) -> bytes:
@@ -178,7 +190,7 @@ def write_csv(records, path: str) -> None:
     """One row per record; the header comes from the record's fields."""
     if not records:
         raise ValueError("nothing to write")
-    names = [f.name for f in fields(records[0])]
+    names = [f.name for f in fields(records[0]) if f.metadata.get("csv", True)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)

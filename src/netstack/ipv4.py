@@ -1,16 +1,19 @@
 """IPv4: protocol demux through a reader pool, fragmentation on send,
-and one assembler task per in-progress reassembly.
+and reassembly inside the dealer.
 
-The dealer owns the assembler map.  Assemblers never touch it
-themselves; they announce completion or expiry by sending a control
-message back to the dealer's inbox, which also carries reassembled
-packets through the exact same path as fresh arrivals.
+The dealer owns the reassembly map and inserts every fragment itself,
+so a fragmented datagram costs no extra task and no extra hand-off.
+Every reassembly gets the same timeout from its first fragment, so the
+map's insertion order is also its deadline order: the dealer expires
+entries from the front on every turn of its loop, and its recv waits no
+longer than the first entry's deadline.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass
 
 from netstack import addr, wire
@@ -57,41 +60,18 @@ def fragment_payload(payload: bytes, mtu: int) -> list[tuple[int, bool, bytes]]:
 
 
 class _Assembler:
-    """Collects one datagram's fragments until coverage is complete."""
+    """One datagram's fragments, collected until coverage is complete."""
 
-    def __init__(self, key: FragmentKey, inbox: MessageQueue, dealer_inbox: MessageQueue,
-                 timeout_s: float, counters: Counters):
+    def __init__(self, key: FragmentKey, deadline: float, counters: Counters):
         self.key = key
-        self.inbox = inbox
-        self.dealer_inbox = dealer_inbox
-        self.timeout_s = timeout_s
+        self.deadline = deadline
         self.counters = counters
         self.buffer = bytearray()
         self.intervals = []  # merged, sorted (start, end) byte ranges
         self.total = None
 
-    def run(self) -> None:
-        while True:
-            try:
-                fragment = self.inbox.recv(timeout=self.timeout_s)
-            except Timeout:
-                self.counters.incr("ip.reassembly.timeout")
-                self._notify(("timeout", self.key))
-                return
-            except Closed:
-                return
-            done = self._insert(fragment)
-            if done is not None:
-                self._notify(("complete", self.key, done))
-                return
-
-    def _notify(self, msg) -> None:
-        try:
-            self.dealer_inbox.send(msg)
-        except Closed:
-            pass
-
-    def _insert(self, fragment: wire.Ipv4Packet):
+    def insert(self, fragment: wire.Ipv4Packet) -> wire.Ipv4Packet | None:
+        """Add one fragment; returns the whole datagram once it is complete."""
         start = fragment.fragment_offset * 8
         end = start + len(fragment.payload)
         if end > 65535:
@@ -123,10 +103,7 @@ class _Assembler:
         return None
 
     def _merge(self, start: int, end: int) -> None:
-        merged = []
-        for s, e in self.intervals + [(start, end)]:
-            merged.append((s, e))
-        merged.sort()
+        merged = sorted(self.intervals + [(start, end)])
         out = [merged[0]]
         for s, e in merged[1:]:
             ls, le = out[-1]
@@ -152,7 +129,7 @@ class Ipv4Layer:
         self.inbound = MessageQueue(config.queue_capacity)
         self.dispatch_q = MessageQueue(config.queue_capacity)
         self.registry = BindingRegistry("ip", counters)  # protocol number -> queue
-        self._assemblers = {}  # FragmentKey -> MessageQueue, dealer-owned
+        self._assemblers = {}  # FragmentKey -> _Assembler, dealer-owned, oldest first
         self._ident = itertools.count(1)
         self._ident_lock = threading.Lock()
 
@@ -169,11 +146,13 @@ class Ipv4Layer:
 
     def _dealer_loop(self) -> None:
         while True:
+            # expire on every turn: steady traffic must not keep a stale entry alive
+            timeout = self._expire(time.monotonic())
             try:
-                msg = self.inbound.recv()
+                msg = self.inbound.recv(timeout)
+            except Timeout:
+                continue
             except Closed:
-                for q in self._assemblers.values():
-                    q.close()
                 self._assemblers.clear()
                 self.dispatch_q.close()
                 return
@@ -186,11 +165,16 @@ class Ipv4Layer:
                 self._accept(packet)
             elif isinstance(msg, tuple) and msg[0] == "packet":
                 self._accept(msg[1])
-            elif isinstance(msg, tuple) and msg[0] == "complete":
-                self._assemblers.pop(msg[1], None)
-                self._forward(msg[2])
-            elif isinstance(msg, tuple) and msg[0] == "timeout":
-                self._assemblers.pop(msg[1], None)
+
+    def _expire(self, now: float) -> float | None:
+        """Drop reassemblies past their deadline; returns the wait until the next."""
+        while self._assemblers:
+            first = next(iter(self._assemblers.values()))
+            if first.deadline > now:
+                return first.deadline - now
+            del self._assemblers[first.key]
+            self.counters.incr("ip.reassembly.timeout")
+        return None
 
     def _accept(self, packet: wire.Ipv4Packet) -> None:
         if packet.dst_ip not in (self.our_ip, BROADCAST_IP,
@@ -201,7 +185,7 @@ class Ipv4Layer:
             self.counters.incr("ip.drop.ttl")
             return
         if packet.is_fragment:
-            self._to_assembler(packet)
+            self._reassemble(packet)
         else:
             self._forward(packet)
 
@@ -211,20 +195,18 @@ class Ipv4Layer:
         except Closed:
             pass
 
-    def _to_assembler(self, packet: wire.Ipv4Packet) -> None:
+    def _reassemble(self, packet: wire.Ipv4Packet) -> None:
         key = FragmentKey(packet.src_ip, packet.dst_ip,
                           packet.protocol, packet.identification)
-        inbox = self._assemblers.get(key)
-        if inbox is None:
-            inbox = MessageQueue(self.inbound.capacity)
-            self._assemblers[key] = inbox
-            assembler = _Assembler(key, inbox, self.inbound,
-                                   self.reassembly_timeout_s, self.counters)
-            self.tasks.spawn(f"ip-assembler-{key.identification}", assembler.run)
-        try:
-            inbox.send(packet)
-        except Closed:
-            pass
+        assembler = self._assemblers.get(key)
+        if assembler is None:
+            assembler = _Assembler(key, time.monotonic() + self.reassembly_timeout_s,
+                                   self.counters)
+            self._assemblers[key] = assembler
+        whole = assembler.insert(packet)
+        if whole is not None:
+            del self._assemblers[key]
+            self._forward(whole)
 
     def _reader_loop(self) -> None:
         while True:

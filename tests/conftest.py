@@ -83,6 +83,20 @@ def wait_until(predicate, timeout: float = 2.0, interval: float = 0.01) -> bool:
     return predicate()
 
 
+def send_paced(sender, receiver, receiver_sock, payloads) -> None:
+    """Send each datagram only once the receiver has queued or dropped the last.
+
+    A back-to-back burst would overflow the receiver's NIC ring
+    (link.drop.overflow) before UDP ever saw it; pacing keeps every
+    datagram's fate in the UDP layer's hands.
+    """
+    for sent, payload in enumerate(payloads, 1):
+        sender.send_to(receiver.ip, receiver_sock.port, payload)
+        assert wait_until(lambda: len(receiver_sock.queue)
+                          + receiver.counters.get("udp.drop.full") == sent), \
+            f"datagram {sent} was neither queued nor counted as udp.drop.full"
+
+
 class ScriptedPeer:
     """Hand-driven endpoint on a bare wire end.
 

@@ -1,5 +1,6 @@
 """Resolution, caching, single-flight, and timeout behaviour."""
 
+import sys
 import threading
 import time
 
@@ -24,6 +25,58 @@ def test_second_resolve_hits_the_cache(rig):
     sent_before = a.counters.get("arp.tx.request")
     assert a.arp.resolve(target) == b.eth.mac
     assert a.counters.get("arp.tx.request") == sent_before
+
+
+def test_cache_hits_send_no_message_to_the_dealer(rig):
+    a, b = rig()
+    target = addr.parse_ip("10.0.0.2")
+    a.arp.resolve(target)  # warm-up: the one miss goes through the dealer
+    messages = []
+    original = a.arp.inbound.send
+
+    def recording_send(item, timeout=None):
+        messages.append(item)
+        return original(item, timeout)
+
+    a.arp.inbound.send = recording_send
+    assert [a.arp.resolve(target) for _ in range(100)] == [b.eth.mac] * 100
+    assert messages == []
+
+
+def test_resolvers_read_consistent_entries_while_the_dealer_republishes(rig):
+    a, _b = rig()
+    entries = {addr.parse_ip(f"10.0.0.{100 + i}"): bytes([2, 0xaa, 0, 0, 0, i])
+               for i in range(20)}
+    for ip, mac in entries.items():
+        a.arp.add_static(ip, mac)
+    wrong = []
+    stop = threading.Event()
+
+    def resolver():
+        while not stop.is_set():
+            for ip, mac in entries.items():
+                got = a.arp.resolve(ip)
+                if got != mac:
+                    wrong.append((ip, got))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=resolver, daemon=True) for _ in range(8)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            for ip, mac in entries.items():
+                a.arp.add_static(ip, mac)  # every one makes the dealer republish
+        stop.set()
+        for t in threads:
+            t.join(5.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert a.counters.get("arp.tx.request") == 0
 
 
 def test_resolve_with_no_peer_times_out(rig):

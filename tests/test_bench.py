@@ -2,10 +2,12 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from netstack import bench
+from netstack.csp import Counters
 
 
 def test_latency_small_levels(tmp_path):
@@ -15,6 +17,7 @@ def test_latency_small_levels(tmp_path):
     for r in records:
         assert r.loss == 0.0
         assert 0.9 <= r.min_ms <= r.avg_ms <= r.max_ms
+        assert r.drops == {}
     out = tmp_path / "latency.csv"
     bench.write_csv(records, str(out))
     with open(out) as fh:
@@ -23,6 +26,17 @@ def test_latency_small_levels(tmp_path):
                        "min_ms", "max_ms", "loss"]
     assert len(rows) == 3
     assert float(rows[1][2]) == pytest.approx(records[0].avg_ms)
+
+
+def test_drop_counters_name_the_stack_and_skip_zeros():
+    a, b = Counters(), Counters()
+    a.incr("link.drop.overflow", 3)
+    a.incr("icmp.rx.reply", 7)
+    b.incr("udp.drop.full", 0)
+    b.incr("ip.drop.not_ours")
+    assert bench._drop_counters(a=SimpleNamespace(counters=a),
+                                b=SimpleNamespace(counters=b)) == {
+        "a:link.drop.overflow": 3, "b:ip.drop.not_ours": 1}
 
 
 def test_latency_includes_wire_delay_floor():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -120,6 +121,25 @@ def test_incomplete_reassembly_expires_without_delivery(rig):
     assert a.counters.get("ip.reassembly.timeout") == 1
     with pytest.raises(errors.Timeout):
         q.recv(timeout=0.2)
+
+
+def test_incomplete_reassembly_expires_under_steady_traffic(rig):
+    a, _b = rig()
+    fragments = _encoded_fragments(bytes(3000), 1500)
+    a.ipv4.inbound.send(("packet", fragments[0]))
+    assert wait_until(lambda: a.ipv4.assembler_count() == 1)
+    # back-to-back packets keep the dealer busy, so a dealer that expired
+    # entries only when its recv timed out would keep this one forever;
+    # each packet is dropped as not ours straight away
+    stray = wire.Ipv4Packet(src_ip=B_IP, dst_ip=addr.parse_ip("10.0.0.77"),
+                            protocol=TEST_PROTO, payload=b"tick")
+    budget = a.config.reassembly_timeout_ms / 1000 + 1.0
+    deadline = time.monotonic() + budget
+    while a.ipv4.assembler_count() and time.monotonic() < deadline:
+        a.ipv4.inbound.send(("packet", stray))
+    assert a.ipv4.assembler_count() == 0, f"still pending after {budget}s of traffic"
+    assert a.counters.get("ip.reassembly.timeout") == 1
+    assert a.counters.get("ip.drop.not_ours") > 0
 
 
 def test_abandoned_keys_all_clean_up(rig):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import fast_config, wait_until, A_IP, B_IP
+from conftest import fast_config, send_paced, wait_until, A_IP, B_IP
 
 from netstack import errors, link, stack
 
@@ -65,9 +65,9 @@ def test_layers_keep_working_while_udp_socket_stalls(rig):
     a, b = rig(b_over={"queue_capacity": 8})
     stalled = b.udp.bind(8003)
     sender = a.udp.bind(0)
-    for i in range(100):
-        sender.send_to("10.0.0.2", 8003, b"flood %d" % i)
+    send_paced(sender, b, stalled, [b"flood %d" % i for i in range(100)])
     assert wait_until(lambda: b.counters.get("udp.drop.full") > 0, timeout=3.0)
+    assert b.counters.get("link.drop.overflow") == 0
     stats = a.ping("10.0.0.2", count=5, interval=0.0)
     assert stats.received == 5
     listener = b.tcp.listen(8004)

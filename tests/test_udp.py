@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import wait_until
+from conftest import send_paced, wait_until
 
 from netstack import addr, errors, wire
 
@@ -54,6 +54,31 @@ def test_large_datagram_crosses_fragmentation(rig):
     assert server.recv_from(timeout=3.0)[2] == payload
 
 
+def test_fragmented_exchange_spawns_no_task(rig):
+    a, b = rig()
+    server = b.udp.bind(4009)
+    client = a.udp.bind(0)
+    spawned = []
+    for s in (a, b):
+        original = s.tasks.spawn
+
+        def recording_spawn(name, fn, *args, _original=original):
+            spawned.append(name)
+            return _original(name, fn, *args)
+
+        s.tasks.spawn = recording_spawn
+    payload = bytes(random.Random(4).randbytes(6000))
+    for _ in range(5):
+        client.send_to(B_IP, 4009, payload)
+        src_ip, src_port, got = server.recv_from(timeout=3.0)
+        assert got == payload
+        server.send_to(src_ip, src_port, got)
+        assert client.recv_from(timeout=3.0)[2] == payload
+    assert b.counters.get("ip.reassembly.completed") == 5
+    assert a.counters.get("ip.reassembly.completed") == 5
+    assert spawned == []
+
+
 def test_datagram_boundaries_preserved_in_order(rig):
     a, b = rig()
     server = b.udp.bind(4002)
@@ -99,9 +124,9 @@ def test_full_socket_queue_counts_drop(rig):
     a, b = rig(b_over={"queue_capacity": 4})
     server = b.udp.bind(4006)
     client = a.udp.bind(0)
-    for i in range(40):
-        client.send_to(B_IP, 4006, b"x%d" % i)
+    send_paced(client, b, server, [b"x%d" % i for i in range(40)])
     assert wait_until(lambda: b.counters.get("udp.drop.full") > 0, timeout=3.0)
+    assert b.counters.get("link.drop.overflow") == 0
     # whatever was queued is still readable
     assert server.recv_from(timeout=2.0)[2].startswith(b"x")
 
