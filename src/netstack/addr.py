@@ -56,15 +56,6 @@ def format_mac(mac: bytes) -> str:
     return ":".join(f"{b:02x}" for b in mac)
 
 
-def as_mac(value) -> bytes:
-    if isinstance(value, str):
-        return parse_mac(value)
-    value = bytes(value)
-    if len(value) != 6:
-        raise ConfigError(f"bad MAC address: {value!r}")
-    return value
-
-
 def ip_to_int(ip: bytes) -> int:
     return int.from_bytes(ip, "big")
 

@@ -189,15 +189,20 @@ def _parse_levels(text: str) -> list:
     return levels
 
 
+def _print_latency(r: bench.LatencyRecord) -> None:
+    line = (f"{r.concurrent_pingers} pingers: avg {r.avg_ms:.3f} ms, "
+            f"loss {r.loss * 100:.1f}%")
+    if r.drops:
+        line += ", drops " + " ".join(f"{key}={n}" for key, n in r.drops.items())
+    print(line)
+
+
 def _run_bench(args) -> int:
     levels = _parse_levels(args.levels)
     if args.mode == "latency":
         records = bench.bench_latency(
             levels, pings_each=args.pings_each, interval=args.interval,
-            size=args.size,
-            on_record=lambda r: print(f"{r.concurrent_pingers} pingers: "
-                                      f"avg {r.avg_ms:.3f} ms, "
-                                      f"loss {r.loss * 100:.1f}%"))
+            size=args.size, on_record=_print_latency)
     else:
         records = bench.bench_throughput(
             levels, bytes_per_client=args.bytes,

@@ -1,15 +1,17 @@
-"""TCP: listeners, connections, and per-connection task pairs.
+"""TCP: listeners, connections, and one task per connection.
 
-Each connection's TCB is run by two long-running tasks: an inbound
-processor fed segments by the TCP dealer, and a sender that cuts the
-send buffer into MSS-sized segments.  The sender also runs the
-connection's retransmission timer: every in-flight segment waits in the
-TCB's ledger with its own deadline, and the sender sleeps until the
-earliest of them unless new data or an ACK wakes it first.
+Each connection's TCB is owned by a single task.  The TCP dealer hands
+it segments through a bounded inbox, and the application's send and
+close calls leave work in the TCB.  Each turn of the task waits once,
+for a segment, for send work or for the connection's earliest deadline.
+It then handles every queued segment, fires the timers that are due
+(TIME_WAIT, the half-open handshake reap, and each in-flight segment's
+retransmission deadline in the ledger), cuts every segment the window
+allows, and emits all of it outside the lock.
 
-The TCB's fields are guarded by one lock per connection with a
-condition variable for the sender and the application-facing calls;
-the inbound queue carries segments from the dealer to the inbound task.
+The TCB's fields are guarded by one lock per connection.  Two condition
+variables share it: ``_work`` wakes the connection task, and ``_cond``
+wakes application calls waiting for state, data or buffer room.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ class Tcb:
         self.listener = listener
         self.mss = layer.mss
         self.window_segments = layer.window_segments
-        self.inbound_q = MessageQueue(layer.queue_capacity)
+        self._inbox = []  # segments from the dealer, at most queue_capacity
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition(self._lock)  # application waiters
+        self._work = threading.Condition(self._lock)  # the connection task
         self.state = TcbState.LISTEN if listener else TcbState.CLOSED
         self.history = [self.state]
         self.iss = 0
@@ -108,7 +111,6 @@ class Tcb:
         self.remote_fin_done = False
         self.error: Exception | None = None
         self.done = False
-        self._finished = False
         self._time_wait_deadline = None
         self._handshake_deadline = None
 
@@ -139,59 +141,97 @@ class Tcb:
             self.layer.counters.incr("tcp.drop.unroutable")
 
     def _register_inflight(self, start: int, end: int, raw: bytes) -> None:
-        # callers hold _cond and notify it, so the sender rearms its timer
+        # the connection task reads the ledger's deadlines at its next wait
         self.ledger[start] = RetransmitEntry(start, end, raw, self.layer.rto_s)
 
-    # --- the inbound processor task ---
+    # --- the connection task ---
 
-    def run_inbound(self) -> None:
-        while True:
-            try:
-                seg = self.inbound_q.recv(timeout=self._recv_timeout())
-            except Timeout:
-                if self._expire():
-                    self._finish()
-                    return
-                continue
-            except Closed:
-                self._finish()
+    def deliver(self, seg: wire.TcpSegment) -> None:
+        """Queue a segment from the TCP dealer for the connection task."""
+        with self._lock:
+            if self.state is TcbState.CLOSED:
+                drop = "tcp.drop.closing"
+            elif len(self._inbox) >= self.layer.queue_capacity:
+                drop = "tcp.drop.inbox_full"
+            else:
+                self._inbox.append(seg)
+                self._work.notify()
                 return
+        self.layer.counters.incr(drop)
+
+    def run(self) -> None:
+        """Own the TCB until it closes: one wait, then one batch per turn."""
+        while True:
             out = []
-            with self._cond:
-                if not self.done:
+            with self._lock:
+                self._wait_for_work()
+                inbox, self._inbox = self._inbox, []
+                for seg in inbox:
                     self._handle(seg, out)
-                closed = self.state is TcbState.CLOSED
+                self._fire_timers(out)
+                while self._can_cut():
+                    out.append(self._cut_segment_locked())
+                finished = self.state is TcbState.CLOSED
+                if finished:
+                    self.done = True
+                    self.ledger.clear()
+                    self._cond.notify_all()
             for raw in out:
                 self._emit(raw)
-            if closed:
-                self._finish()
+            if finished:
+                self.layer._deregister(self)
                 return
 
-    def _recv_timeout(self) -> float | None:
-        with self._lock:
-            now = time.monotonic()
-            if self.state is TcbState.TIME_WAIT and self._time_wait_deadline:
-                return max(0.0, self._time_wait_deadline - now)
-            if self.state is TcbState.SYN_RCVD and self._handshake_deadline:
-                return max(0.0, self._handshake_deadline - now)
-            return None
+    def _wait_for_work(self) -> None:
+        while not (self._inbox or self.state is TcbState.CLOSED
+                   or self._can_cut()):
+            deadline = self._next_deadline()
+            if deadline is None:
+                self._work.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            self._work.wait(remaining)
 
-    def _expire(self) -> bool:
-        with self._cond:
-            now = time.monotonic()
-            if (self.state is TcbState.TIME_WAIT and self._time_wait_deadline
-                    and now >= self._time_wait_deadline):
-                self._enter(TcbState.CLOSED)
-                return True
-            if (self.state is TcbState.SYN_RCVD and self._handshake_deadline
-                    and now >= self._handshake_deadline):
-                # the peer never completed the handshake; reap silently
-                self.layer.counters.incr("tcp.reap.half_open")
-                if self.listener is not None:
-                    self.listener._child_gone()
-                self._enter(TcbState.CLOSED)
-                return True
-            return False
+    def _next_deadline(self) -> float | None:
+        deadlines = [entry.deadline for entry in self.ledger.values()]
+        if self.state is TcbState.TIME_WAIT:
+            deadlines.append(self._time_wait_deadline)
+        elif self.state is TcbState.SYN_RCVD:
+            deadlines.append(self._handshake_deadline)
+        return min(deadlines, default=None)
+
+    def _fire_timers(self, out: list) -> None:
+        now = time.monotonic()
+        if self.state is TcbState.TIME_WAIT and now >= self._time_wait_deadline:
+            self._enter(TcbState.CLOSED)
+            return
+        if self.state is TcbState.SYN_RCVD and now >= self._handshake_deadline:
+            # the peer never completed the handshake; reap silently
+            self.layer.counters.incr("tcp.reap.half_open")
+            if self.listener is not None:
+                self.listener._child_gone()
+            self._enter(TcbState.CLOSED)
+            return
+        if self.state is TcbState.CLOSED:
+            return  # a closed TCB retransmits nothing
+        resent = []
+        for entry in self.ledger.values():
+            if entry.deadline > now:
+                continue
+            if entry.send_count >= _RETRANSMIT_LIMIT:
+                self.layer.counters.incr("tcp.reset.retransmit_limit")
+                out.append(self._segment(self.snd_nxt, rst=True))
+                self._reset_locked(ConnectionReset("retransmission limit reached"))
+                return
+            entry.send_count += 1
+            entry.rto *= 2
+            entry.deadline = now + entry.rto
+            resent.append(entry.segment)
+        if resent:
+            self.layer.counters.incr("tcp.retransmit", len(resent))
+            out.extend(resent)
 
     # --- the state machine, called with the lock held ---
 
@@ -266,7 +306,6 @@ class Tcb:
         if seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt):
             self.snd_una = ack
             self._ack_ledger(ack)
-            self._cond.notify_all()
 
     def _ack_ledger(self, ack: int) -> None:
         for start in list(self.ledger):
@@ -318,62 +357,17 @@ class Tcb:
         self._time_wait_deadline = time.monotonic() + self.layer.time_wait_s
         self._enter(TcbState.TIME_WAIT)
 
-    # --- the sender task, which also runs the retransmission timer ---
+    def _reset_locked(self, error: Exception) -> None:
+        """Close the TCB with error, telling the listener of a half-open child."""
+        if self.error is None:
+            self.error = error
+        if self.state is TcbState.SYN_RCVD and self.listener is not None:
+            self.listener._child_gone()
+        self._enter(TcbState.CLOSED)
 
-    def run_sender(self) -> None:
-        while True:
-            with self._cond:
-                timer_fired = self._wait_for_sender_work()
-                if self.done:
-                    return
-                if timer_fired:
-                    out = self._retransmit_due_locked()
-                else:
-                    raw = self._cut_segment_locked()
-                    out = [] if raw is None else [raw]
-            if out is None:
-                self.layer.counters.incr("tcp.reset.retransmit_limit")
-                self.force_reset(ConnectionReset("retransmission limit reached"))
-                continue
-            for raw in out:
-                self._emit(raw)
+    # --- segmentation ---
 
-    def _wait_for_sender_work(self) -> bool:
-        """Wait until there is a segment to cut or the earliest ledger
-        deadline has passed; True means the deadline."""
-        while not self._sender_has_work():
-            # a closed TCB retransmits nothing; _finish will clear its ledger
-            if self.state is TcbState.CLOSED or not self.ledger:
-                self._cond.wait()
-                continue
-            earliest = min(entry.deadline for entry in self.ledger.values())
-            remaining = earliest - time.monotonic()
-            if remaining <= 0:
-                return True
-            # an ACK may remove the earliest entry meanwhile: one early wake
-            self._cond.wait(remaining)
-        return False
-
-    def _retransmit_due_locked(self) -> list[bytes] | None:
-        """Segments whose deadline has passed, each with its RTO doubled;
-        None once one of them has been sent _RETRANSMIT_LIMIT times."""
-        now = time.monotonic()
-        out = []
-        for entry in self.ledger.values():
-            if entry.deadline > now:
-                continue
-            if entry.send_count >= _RETRANSMIT_LIMIT:
-                return None
-            entry.send_count += 1
-            entry.rto *= 2
-            entry.deadline = now + entry.rto
-            out.append(entry.segment)
-        self.layer.counters.incr("tcp.retransmit", len(out))
-        return out
-
-    def _sender_has_work(self) -> bool:
-        if self.done:
-            return True
+    def _can_cut(self) -> bool:
         if self.state not in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT):
             return False
         if len(self.ledger) >= self.window_segments:
@@ -382,7 +376,7 @@ class Tcb:
             return True
         return self.fin_requested and not self.fin_sent
 
-    def _cut_segment_locked(self) -> bytes | None:
+    def _cut_segment_locked(self) -> bytes:
         if self.send_buf:
             chunk = bytes(self.send_buf[:self.mss])
             del self.send_buf[:len(chunk)]
@@ -392,29 +386,26 @@ class Tcb:
             self._register_inflight(seq, self.snd_nxt, raw)
             self._cond.notify_all()  # send() may be waiting for buffer room
             return raw
-        if self.fin_requested and not self.fin_sent:
-            seq = self.snd_nxt
-            self.snd_nxt = seq_add(seq, 1)
-            self.fin_sent = True
-            self.fin_seq = seq
-            raw = self._segment(seq, fin=True)
-            self._register_inflight(seq, self.snd_nxt, raw)
-            if self.state is TcbState.ESTABLISHED:
-                self._enter(TcbState.FIN_WAIT_1)
-            elif self.state is TcbState.CLOSE_WAIT:
-                self._enter(TcbState.LAST_ACK)
-            return raw
-        return None
+        seq = self.snd_nxt
+        self.snd_nxt = seq_add(seq, 1)
+        self.fin_sent = True
+        self.fin_seq = seq
+        raw = self._segment(seq, fin=True)
+        self._register_inflight(seq, self.snd_nxt, raw)
+        if self.state is TcbState.ESTABLISHED:
+            self._enter(TcbState.FIN_WAIT_1)
+        elif self.state is TcbState.CLOSE_WAIT:
+            self._enter(TcbState.LAST_ACK)
+        return raw
 
     # --- lifecycle ---
 
-    def start_tasks(self) -> None:
-        port = self.local[1]
-        self.layer.tasks.spawn(f"tcp-conn-in-{port}", self.run_inbound)
-        self.layer.tasks.spawn(f"tcp-conn-send-{port}", self.run_sender)
+    def start_task(self) -> None:
+        """Spawn the connection task; a TCB found CLOSED by it is finished."""
+        self.layer.tasks.spawn(f"tcp-conn-{self.local[1]}", self.run)
 
     def start_connect(self) -> None:
-        with self._cond:
+        with self._lock:
             self.iss = self.layer.pick_isn()
             self.snd_una = self.iss
             self.snd_nxt = seq_add(self.iss, 1)
@@ -425,7 +416,7 @@ class Tcb:
 
     def start_accept(self, seg: wire.TcpSegment) -> None:
         """Take a listener's SYN: enter SYN_RCVD and answer with SYN-ACK."""
-        with self._cond:
+        with self._lock:
             self.rcv_nxt = seq_add(seg.seq, 1)
             self.iss = self.layer.pick_isn()
             self.snd_una = self.iss
@@ -436,36 +427,13 @@ class Tcb:
             self._enter(TcbState.SYN_RCVD)
         self._emit(raw)
 
-    def force_reset(self, error: Exception, send_rst: bool = True) -> None:
-        """Abort from any task: tear the connection down, optionally with RST."""
-        raw = None
-        with self._cond:
-            if self.done or self.state is TcbState.CLOSED:
-                send_rst = False
-            else:
-                if send_rst:
-                    raw = self._segment(self.snd_nxt, rst=True)
-                if self.error is None:
-                    self.error = error
-                if self.state is TcbState.SYN_RCVD and self.listener is not None:
-                    self.listener._child_gone()
-                self._enter(TcbState.CLOSED)
-        if raw is not None:
-            self._emit(raw)
-        self.inbound_q.close()  # the inbound task completes the cleanup
-
-    def _finish(self) -> None:
-        with self._cond:
-            if self._finished:
+    def force_reset(self, error: Exception) -> None:
+        """Abort from any task: close the TCB without telling the peer."""
+        with self._lock:
+            if self.state is TcbState.CLOSED:
                 return
-            self._finished = True
-            if self.state is not TcbState.CLOSED:
-                self._enter(TcbState.CLOSED)
-            self.done = True
-            self.ledger.clear()
-            self._cond.notify_all()
-        self.inbound_q.close()
-        self.layer._deregister(self)
+            self._reset_locked(error)
+            self._work.notify()  # the connection task completes the cleanup
 
     # --- the application-facing calls ---
 
@@ -488,7 +456,7 @@ class Tcb:
                 take = min(room, len(view))
                 self.send_buf.extend(view[:take])
                 view = view[take:]
-                self._cond.notify_all()
+                self._work.notify()
 
     def recv(self, max_bytes: int, timeout: float = None) -> bytes:
         if max_bytes < 1:
@@ -516,11 +484,12 @@ class Tcb:
                 return
             if self.state in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT):
                 self.fin_requested = True
-                self._cond.notify_all()
+                self._cond.notify_all()  # wakes send() calls blocked on room
+                self._work.notify()
                 return
             abort = self.state in (TcbState.SYN_SENT, TcbState.SYN_RCVD, TcbState.LISTEN)
         if abort:
-            self.force_reset(ConnectionClosed("closed during handshake"), send_rst=False)
+            self.force_reset(ConnectionClosed("closed during handshake"))
 
     def _abort_locked_from_listener(self) -> None:
         # lock already held: _child_established runs inside our _handle
@@ -670,12 +639,9 @@ class TcpLayer:
             tcb = Tcb(self, local=(self.our_ip, local_port),
                       remote=(dst_ip, dst_port))
             self._connections[tcb.key] = tcb
-        tcb.start_tasks()
-        try:
-            tcb.start_connect()
-        except NetstackError:
-            tcb.force_reset(ConnectionClosed("send failed"), send_rst=False)
-            raise
+        # leave CLOSED before the task starts, which would take CLOSED as done
+        tcb.start_connect()
+        tcb.start_task()
         with tcb._cond:
             tcb._cond.wait_for(
                 lambda: tcb.state is TcbState.ESTABLISHED or tcb.done
@@ -683,7 +649,7 @@ class TcpLayer:
             if tcb.state is TcbState.ESTABLISHED:
                 return Connection(tcb)
             error = tcb.error
-        tcb.force_reset(ConnectionClosed("connect aborted"), send_rst=False)
+        tcb.force_reset(ConnectionClosed("connect aborted"))
         if error is not None:
             raise error
         raise Timeout(f"no answer from {addr.format_ip(dst_ip)}:{dst_port}")
@@ -707,11 +673,7 @@ class TcpLayer:
                 tcb = self._connections.get(key)
                 listener = self._listeners.get(seg.dst_port)
             if tcb is not None:
-                try:
-                    if not tcb.inbound_q.send_nowait(seg):
-                        self.counters.incr("tcp.drop.inbox_full")
-                except Closed:
-                    self.counters.incr("tcp.drop.closing")
+                tcb.deliver(seg)
                 continue
             if listener is not None and seg.flag_syn and not seg.flag_ack \
                     and not seg.flag_rst:
@@ -729,10 +691,10 @@ class TcpLayer:
                   remote=(peer_ip, seg.src_port), listener=listener)
         with self._lock:
             self._connections[tcb.key] = tcb
-        # arm the handshake deadline before the inbound task first computes
-        # its recv timeout, or a silent peer would park it forever
+        # arm the handshake deadline before the connection task first waits,
+        # or a silent peer would park it forever
         tcb.start_accept(seg)
-        tcb.start_tasks()
+        tcb.start_task()
 
     def _refuse(self, peer_ip: bytes, seg: wire.TcpSegment) -> None:
         self.counters.incr("tcp.rst.no_listener")
@@ -787,4 +749,4 @@ class TcpLayer:
         for listener in listeners:
             listener.close()
         for tcb in tcbs:
-            tcb.force_reset(ConnectionClosed("stack shut down"), send_rst=False)
+            tcb.force_reset(ConnectionClosed("stack shut down"))

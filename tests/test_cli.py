@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from netstack import cli
+from netstack import bench, cli
 
 
 def test_ping_demo_prints_stats(capsys):
@@ -42,6 +42,32 @@ def test_bench_latency_writes_csv(tmp_path, capsys):
                        "min_ms", "max_ms", "loss"]
     assert len(rows) == 3
     assert "wrote 2 rows" in capsys.readouterr().out
+
+
+def test_bench_latency_prints_drop_counters(tmp_path, capsys, monkeypatch):
+    lossy = bench.LatencyRecord(2, 2, 1.0, 0.5, 1.5, 0.25,
+                                drops={"a:link.drop.overflow": 3,
+                                       "b:udp.drop.full": 1})
+    clean = bench.LatencyRecord(1, 2, 1.0, 0.5, 1.5, 0.0)
+
+    def fake_bench_latency(levels, on_record, **_kwargs):
+        for record in (clean, lossy):
+            on_record(record)
+        return [clean, lossy]
+
+    monkeypatch.setattr(bench, "bench_latency", fake_bench_latency)
+    out_file = tmp_path / "lat.csv"
+    assert cli.main(["bench", "latency", "--levels", "1,2",
+                     "--out", str(out_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 pingers: avg 1.000 ms, loss 0.0%"
+    assert lines[1] == ("2 pingers: avg 1.000 ms, loss 25.0%, "
+                        "drops a:link.drop.overflow=3 b:udp.drop.full=1")
+    with open(out_file) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["concurrent_pingers", "pings_each", "avg_ms",
+                       "min_ms", "max_ms", "loss"]
+    assert len(rows) == 3
 
 
 def test_bench_throughput_writes_csv(tmp_path):

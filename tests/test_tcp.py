@@ -287,14 +287,19 @@ def test_connections_and_tasks_drain_after_use(rig):
 
 def test_transfer_spawns_no_task_per_segment(rig):
     a, b = rig()
-    spawned = []
-    original = a.tasks.spawn
+    spawned = {a: [], b: []}
 
-    def recording_spawn(name, fn, *args):
-        spawned.append(name)
-        return original(name, fn, *args)
+    def record_spawns(st):
+        original = st.tasks.spawn
 
-    a.tasks.spawn = recording_spawn
+        def recording_spawn(name, fn, *args):
+            spawned[st].append(name)
+            return original(name, fn, *args)
+
+        st.tasks.spawn = recording_spawn
+
+    record_spawns(a)
+    record_spawns(b)
     payload = bytes(random.Random(26).randbytes(256 * 1024))
     listener = b.tcp.listen(7015)
     results = []
@@ -305,9 +310,11 @@ def test_transfer_spawns_no_task_per_segment(rig):
     client.send(payload, timeout=20.0)
     t.join(timeout=20.0)
     client.close()
+    assert not t.is_alive()
     assert results == [payload]
-    assert spawned and all(name.startswith(("tcp-conn-in-", "tcp-conn-send-"))
-                           for name in spawned), spawned
+    # exactly one task per connection, on each side, for the whole transfer
+    assert spawned[a] == [f"tcp-conn-{client.local[1]}"], spawned[a]
+    assert spawned[b] == ["tcp-conn-7015"], spawned[b]
 
 
 def test_passive_open_walks_canonical_states(solo):
@@ -391,7 +398,11 @@ def test_half_open_handshake_is_reaped(solo):
     assert wait_until(lambda: s.tcp.connection_count() == 0, timeout=3.0)
 
 
-def test_retransmission_limit_resets_the_connection(solo):
+def _expect_retransmission_limit(solo, chatter: bool) -> None:
+    """Data the peer never ACKs goes out 5 times at doubling gaps, then
+    the stack resets. With chatter, the peer also sends an in-order byte
+    every ~10 ms, so the connection task keeps waking for segments rather
+    than for its timer."""
     s, far_end = solo(tcp_rto_ms=50)
     peer = ScriptedPeer(far_end, ip=B_IP)
     listener = s.tcp.listen(7104)
@@ -399,18 +410,41 @@ def test_retransmission_limit_resets_the_connection(solo):
     peer.send_tcp(A_IP, A_MAC, src_port=6003, dst_port=7104,
                   seq=700, ack=0, flag_syn=True)
     synack = peer.expect_tcp(lambda g: g.flag_syn and g.flag_ack)
+    peer_ack = (synack.seq + 1) % 2**32
     peer.send_tcp(A_IP, A_MAC, src_port=6003, dst_port=7104,
-                  seq=701, ack=(synack.seq + 1) % 2**32, flag_ack=True)
+                  seq=701, ack=peer_ack, flag_ack=True)
     conn = listener.accept(timeout=2.0)
-    conn.send(b"never acknowledged")
-    arrivals = []
-    for _ in range(5):
-        seg = peer.expect_tcp()  # never ACKed, so the same segment returns
-        assert seg.payload == b"never acknowledged"
-        arrivals.append(time.monotonic())
-    assert peer.expect_tcp().flag_rst  # no sixth copy: the limit resets
+    # with chatter the stack ACKs each byte; skip those pure ACKs
+    data_or_rst = (lambda g: g.payload or g.flag_rst) if chatter else None
+    stop = threading.Event()
+
+    def send_chatter():
+        seq = 701
+        while not stop.wait(0.01):
+            peer.send_tcp(A_IP, A_MAC, src_port=6003, dst_port=7104,
+                          seq=seq, ack=peer_ack, flag_ack=True, payload=b"x")
+            seq += 1
+
+    chatter_thread = threading.Thread(target=send_chatter, daemon=True)
+    if chatter:
+        chatter_thread.start()
+    try:
+        conn.send(b"never acknowledged")
+        arrivals = []
+        for _ in range(5):
+            seg = peer.expect_tcp(data_or_rst)  # never ACKed, so it returns
+            assert seg.payload == b"never acknowledged"
+            arrivals.append(time.monotonic())
+        # no sixth copy: the limit resets
+        assert peer.expect_tcp(data_or_rst).flag_rst
+    finally:
+        stop.set()
+        if chatter:
+            chatter_thread.join(timeout=2.0)
+    assert not chatter_thread.is_alive()
     with pytest.raises(errors.ConnectionReset):
-        conn.recv(timeout=3.0)
+        while conn.recv(timeout=3.0):
+            assert chatter  # only chatter bytes may come before the reset
     gaps = [later - earlier for earlier, later in zip(arrivals, arrivals[1:])]
     for i, gap in enumerate(gaps):
         nominal = 0.05 * 2 ** i  # the RTO doubles after each copy
@@ -419,6 +453,14 @@ def test_retransmission_limit_resets_the_connection(solo):
     assert s.counters.get("tcp.reset.retransmit_limit") == 1
     assert wait_until(lambda: conn.tcb.ledger_size() == 0)
     assert wait_until(lambda: s.tasks.census("tcp-conn") == 0), s.tasks.names()
+
+
+def test_retransmission_limit_resets_the_connection(solo):
+    _expect_retransmission_limit(solo, chatter=False)
+
+
+def test_retransmission_timer_fires_under_steady_inbound_traffic(solo):
+    _expect_retransmission_limit(solo, chatter=True)
 
 
 def test_stray_segment_gets_rst(solo):
