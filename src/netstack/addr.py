@@ -8,8 +8,6 @@ from netstack.errors import ConfigError
 
 BROADCAST_MAC = b"\xff\xff\xff\xff\xff\xff"
 BROADCAST_IP = b"\xff\xff\xff\xff"
-ZERO_IP = b"\x00\x00\x00\x00"
-ZERO_MAC = b"\x00\x00\x00\x00\x00\x00"
 
 
 def parse_ip(text: str) -> bytes:

@@ -16,11 +16,9 @@ from __future__ import annotations
 import time
 from types import MappingProxyType
 
-from netstack import wire
+from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, ResolutionTimeout, Timeout, WireError
-
-BROADCAST_MAC = b"\xff" * 6
 
 
 class _Pending:
@@ -162,7 +160,7 @@ class ArpLayer:
         request = wire.ArpPacket(opcode=wire.ARP_REQUEST,
                                  sender_mac=self.eth.mac, sender_ip=self.our_ip,
                                  target_mac=bytes(6), target_ip=ip)
-        self.eth.send(BROADCAST_MAC, wire.ETHERTYPE_ARP, request.encode())
+        self.eth.send(addr.BROADCAST_MAC, wire.ETHERTYPE_ARP, request.encode())
         self.counters.incr("arp.tx.request")
 
     def _answer(self, pending: _Pending, mac: bytes | None) -> None:

@@ -27,14 +27,13 @@ class StackConfig:
     tcp_time_wait_ms: int = 10000
     tcp_handshake_timeout_ms: int = 5000
     tcp_backlog: int = 16
-    icmp_responders: int = 4
     isn_seed: int | None = None  # fixed value makes connection setup reproducible
 
     def validate(self) -> "StackConfig":
         if self.mtu < 576:
             raise ConfigError(f"mtu {self.mtu} below the 576-byte minimum")
         for name in ("ip_readers", "queue_capacity", "tcp_window_segments",
-                     "arp_retries", "icmp_responders", "tcp_backlog"):
+                     "arp_retries", "tcp_backlog"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("arp_timeout_ms", "reassembly_timeout_ms", "tcp_rto_ms",

@@ -139,14 +139,6 @@ class BindingRegistry:
             return False
         return True
 
-    def keys(self) -> list:
-        with self._lock:
-            return list(self._map)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._map)
-
 
 class TaskSet:
     """Census of the stack's running tasks; every spawned thread is tracked."""

@@ -7,7 +7,7 @@ stalling the wire.  Everything above this layer blocks instead.
 
 from __future__ import annotations
 
-from netstack import wire
+from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, FrameTooLarge, WireError
 
@@ -50,7 +50,7 @@ class EthernetLayer:
             except WireError:
                 self.counters.incr("eth.drop.decode")
                 continue
-            if frame.dst_mac != self.mac and frame.dst_mac != b"\xff" * 6:
+            if frame.dst_mac != self.mac and frame.dst_mac != addr.BROADCAST_MAC:
                 self.counters.incr("eth.drop.foreign")
                 continue
             self.registry.dispatch(frame.ethertype, frame)

@@ -1,4 +1,11 @@
-"""ICMP echo: a responder pool for requests, matched waiters for replies."""
+"""ICMP echo: one dealer task answers echo requests and routes echo replies.
+
+The dealer builds and sends each reply itself, inline, as the TCP dealer
+sends a refusal.  A requester has to ARP us before it can ping us, and the
+ARP dealer caches every sender it hears, so resolving the reply's next hop
+is normally a hit on the published cache; a miss waits in the dealer.
+An echo reply goes to the pinger waiting on its (identifier, sequence).
+"""
 
 from __future__ import annotations
 
@@ -28,9 +35,7 @@ class IcmpPing:
         self.ipv4 = ipv4
         self.counters = counters
         self.tasks = tasks
-        self.responders = config.icmp_responders
         self.inbound = MessageQueue(config.queue_capacity)
-        self.respond_q = MessageQueue(config.queue_capacity)
         self._waiters = {}  # (identifier, sequence) -> reply queue
         self._waiters_lock = threading.Lock()
         self._ident = itertools.count(1)
@@ -38,8 +43,6 @@ class IcmpPing:
     def start(self) -> None:
         self.ipv4.registry.bind(wire.PROTO_ICMP, self.inbound)
         self.tasks.spawn("ping-dealer", self._dealer_loop)
-        for i in range(self.responders):
-            self.tasks.spawn(f"ping-responder-{i}", self._responder_loop)
 
     def waiter_count(self) -> int:
         with self._waiters_lock:
@@ -52,7 +55,6 @@ class IcmpPing:
             try:
                 datagram = self.inbound.recv()
             except Closed:
-                self.respond_q.close()
                 return
             try:
                 echo = wire.decode("icmp", datagram.payload)
@@ -60,10 +62,7 @@ class IcmpPing:
                 self.counters.incr("icmp.drop.decode")
                 continue
             if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
-                try:
-                    self.respond_q.send((datagram.src, echo))
-                except Closed:
-                    return
+                self._reply(datagram.src, echo)
             else:
                 self._route_reply(echo)
 
@@ -78,20 +77,15 @@ class IcmpPing:
         except Closed:
             self.counters.incr("icmp.drop.late")
 
-    def _responder_loop(self) -> None:
-        while True:
-            try:
-                src, request = self.respond_q.recv()
-            except Closed:
-                return
-            reply = wire.IcmpEcho(icmp_type=wire.ICMP_ECHO_REPLY,
-                                  identifier=request.identifier,
-                                  sequence=request.sequence,
-                                  data=request.data)
-            try:
-                self.ipv4.send(src, wire.PROTO_ICMP, reply.encode())
-            except NetstackError:
-                self.counters.incr("icmp.drop.reply_unroutable")
+    def _reply(self, src: bytes, request: wire.IcmpEcho) -> None:
+        reply = wire.IcmpEcho(icmp_type=wire.ICMP_ECHO_REPLY,
+                              identifier=request.identifier,
+                              sequence=request.sequence,
+                              data=request.data)
+        try:
+            self.ipv4.send(src, wire.PROTO_ICMP, reply.encode())
+        except NetstackError:
+            self.counters.incr("icmp.drop.reply_unroutable")
 
     # --- outbound ---
 

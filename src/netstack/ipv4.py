@@ -20,8 +20,6 @@ from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, LengthError, NoRoute, Timeout, WireError
 
-BROADCAST_IP = b"\xff\xff\xff\xff"
-
 
 @dataclass
 class IpDatagram:
@@ -123,6 +121,8 @@ class Ipv4Layer:
         self.our_ip = config.ip_bytes
         self.netmask = config.netmask_bytes
         self.gateway = config.gateway_bytes
+        self.broadcasts = (addr.BROADCAST_IP,
+                           addr.subnet_broadcast(self.our_ip, self.netmask))
         self.mtu = config.mtu
         self.reader_count = config.ip_readers
         self.reassembly_timeout_s = config.reassembly_timeout_ms / 1000.0
@@ -177,8 +177,7 @@ class Ipv4Layer:
         return None
 
     def _accept(self, packet: wire.Ipv4Packet) -> None:
-        if packet.dst_ip not in (self.our_ip, BROADCAST_IP,
-                                 addr.subnet_broadcast(self.our_ip, self.netmask)):
+        if packet.dst_ip != self.our_ip and packet.dst_ip not in self.broadcasts:
             self.counters.incr("ip.drop.not_ours")
             return
         if packet.ttl == 0:
@@ -250,8 +249,8 @@ class Ipv4Layer:
             self.eth.send(dst_mac, wire.ETHERTYPE_IPV4, packet.encode())
 
     def _resolve_next_hop(self, dst: bytes) -> bytes:
-        if dst in (BROADCAST_IP, addr.subnet_broadcast(self.our_ip, self.netmask)):
-            return b"\xff" * 6
+        if dst in self.broadcasts:
+            return addr.BROADCAST_MAC
         if addr.same_subnet(dst, self.our_ip, self.netmask):
             next_hop = dst
         elif self.gateway is not None:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import fast_config, send_paced, wait_until, A_IP, B_IP
 
-from netstack import errors, link, stack
+from netstack import addr, errors, link, stack, wire
 
 
 def test_up_down_leaves_no_tasks():
@@ -17,6 +17,29 @@ def test_up_down_leaves_no_tasks():
     a.down()
     assert a.tasks.census() == 0, a.tasks.names()
     assert b.tasks.census() == 0, b.tasks.names()
+
+
+def test_default_stack_runs_eleven_tasks_one_of_them_icmp():
+    a, b = stack.linked_stacks(link.ImpairmentProfile())
+    try:
+        names = a.tasks.names()
+        assert [n for n in names if n.startswith("ping-")] == ["ping-dealer"], names
+        assert len(names) == 11, names
+    finally:
+        b.down()
+        a.down()
+
+
+def test_unroutable_echo_request_is_counted_and_ping_still_works(rig):
+    a, _b = rig()  # no gateway configured
+    request = wire.IcmpEcho(icmp_type=wire.ICMP_ECHO_REQUEST, identifier=77,
+                            sequence=1, data=bytes(56))
+    pkt = wire.Ipv4Packet(src_ip=addr.parse_ip("192.0.2.9"), dst_ip=addr.parse_ip(A_IP),
+                          protocol=wire.PROTO_ICMP, payload=wire.encode(request))
+    a.ipv4.inbound.send(("packet", pkt))
+    assert wait_until(lambda: a.counters.get("icmp.drop.reply_unroutable") == 1)
+    # the dealer that failed to reply still answers and routes the next ping
+    assert a.icmp.ping(B_IP, count=1, interval=0.0).received == 1
 
 
 def test_down_twice_raises():
