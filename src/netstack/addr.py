@@ -1,13 +1,15 @@
-"""IPv4 and MAC address helpers.
+"""IPv4, MAC and port address helpers.
 
 Addresses travel through the stack as raw bytes (4 for IPv4, 6 for MAC);
 these helpers convert to and from the usual text forms.
 """
 
-from netstack.errors import ConfigError
+from netstack.errors import ConfigError, PortsExhausted
 
 BROADCAST_MAC = b"\xff\xff\xff\xff\xff\xff"
 BROADCAST_IP = b"\xff\xff\xff\xff"
+EPHEMERAL_FIRST = 49152
+EPHEMERAL_LAST = 65535
 
 
 def parse_ip(text: str) -> bytes:
@@ -66,3 +68,13 @@ def same_subnet(a: bytes, b: bytes, netmask: bytes) -> bool:
 def subnet_broadcast(ip: bytes, netmask: bytes) -> bytes:
     m = ip_to_int(netmask)
     return ((ip_to_int(ip) & m) | (~m & 0xFFFFFFFF)).to_bytes(4, "big")
+
+
+def pick_ephemeral(start: int, taken, protocol: str) -> int:
+    """The first ephemeral port from start on, wrapping, for which taken is false."""
+    span = EPHEMERAL_LAST - EPHEMERAL_FIRST + 1
+    for i in range(span):
+        port = EPHEMERAL_FIRST + (start - EPHEMERAL_FIRST + i) % span
+        if not taken(port):
+            return port
+    raise PortsExhausted(f"no ephemeral {protocol} ports left")

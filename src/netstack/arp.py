@@ -64,9 +64,9 @@ class ArpLayer:
         try:
             mac = reply_q.recv(timeout=(self.retries + 1) * self.timeout_s + 1.0)
         except (Timeout, Closed):
-            raise ResolutionTimeout(f"no answer for {_dotted(ip)}") from None
+            raise ResolutionTimeout(f"no answer for {addr.format_ip(ip)}") from None
         if mac is None:
-            raise ResolutionTimeout(f"no answer for {_dotted(ip)} "
+            raise ResolutionTimeout(f"no answer for {addr.format_ip(ip)} "
                                     f"after {self.retries} requests")
         return mac
 
@@ -174,7 +174,3 @@ class ArpLayer:
             reply_q.send_nowait(mac)
         except Closed:
             pass  # the waiter gave up already
-
-
-def _dotted(ip: bytes) -> str:
-    return ".".join(str(b) for b in ip)

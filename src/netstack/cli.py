@@ -11,6 +11,7 @@ tcp-serve) exist to be reachable from outside, so they require --config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -44,19 +45,26 @@ def _stack_from_config(path: str) -> stack.Stack:
     return stack.Stack(config).up()
 
 
-def _run_ping(args) -> int:
-    if args.config:
-        s = _stack_from_config(args.config)
-        peer = None
+@contextlib.contextmanager
+def _client_stacks(config_path, dst):
+    """Yield (stack, peer): the configured stack and no peer, or else the
+    private rig with a peer at dst. Both stacks go down on exit."""
+    if config_path:
+        s, peer = _stack_from_config(config_path), None
     else:
-        s, peer = _private_rig(addr.as_ip(args.dst))
+        s, peer = _private_rig(addr.as_ip(dst))
     try:
-        stats = s.ping(args.dst, count=args.count, interval=args.interval,
-                       size=args.size)
+        yield s, peer
     finally:
         s.down()
         if peer is not None:
             peer.down()
+
+
+def _run_ping(args) -> int:
+    with _client_stacks(args.config, args.dst) as (s, _peer):
+        stats = s.ping(args.dst, count=args.count, interval=args.interval,
+                       size=args.size)
     print(f"{stats.sent} sent, {stats.received} received, "
           f"{stats.loss * 100:.1f}% loss")
     if stats.received:
@@ -68,13 +76,8 @@ def _run_ping(args) -> int:
 def _run_udp_send(args) -> int:
     dst_ip, dst_port = _parse_endpoint(args.dst)
     payload = args.message.encode()
-    if args.config:
-        s = _stack_from_config(args.config)
-        peer = echo_sock = None
-    else:
-        s, peer = _private_rig(dst_ip)
-        echo_sock = peer.udp.bind(dst_port)
-    try:
+    with _client_stacks(args.config, dst_ip) as (s, peer):
+        echo_sock = peer.udp.bind(dst_port) if peer is not None else None
         sock = s.udp.bind(0)
         sock.send_to(dst_ip, dst_port, payload)
         print(f"sent {len(payload)} bytes to {args.dst}")
@@ -83,10 +86,6 @@ def _run_udp_send(args) -> int:
             echo_sock.send_to(src_ip, src_port, got)
             _, _, back = sock.recv_from(timeout=2.0)
             print(f"peer echoed {len(back)} bytes: {back.decode(errors='replace')}")
-    finally:
-        s.down()
-        if peer is not None:
-            peer.down()
     return 0
 
 
@@ -137,13 +136,8 @@ def _run_tcp_serve(args) -> int:
 def _run_tcp_send(args) -> int:
     dst_ip, dst_port = _parse_endpoint(args.dst)
     payload = bytes(i & 0xFF for i in range(args.bytes))
-    peer = listener = None
-    if args.config:
-        s = _stack_from_config(args.config)
-    else:
-        s, peer = _private_rig(dst_ip)
-        listener = peer.tcp.listen(dst_port)
-    try:
+    with _client_stacks(args.config, dst_ip) as (s, peer):
+        listener = peer.tcp.listen(dst_port) if peer is not None else None
         started = time.perf_counter()
         conn = s.tcp.connect(dst_ip, dst_port, timeout=10.0)
         conn.send(payload, timeout=60.0)
@@ -158,10 +152,6 @@ def _run_tcp_send(args) -> int:
         elapsed = time.perf_counter() - started
         print(f"sent {args.bytes} bytes in {elapsed:.3f}s "
               f"({args.bytes * 8 / elapsed / 1e6:.2f} Mbit/s)")
-    finally:
-        s.down()
-        if peer is not None:
-            peer.down()
     return 0
 
 

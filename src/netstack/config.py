@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from netstack import addr
 from netstack.errors import ConfigError
@@ -16,7 +16,6 @@ class StackConfig:
     gateway: str = ""  # empty means no off-subnet route
     mac: str = "02:00:00:00:00:01"
     mtu: int = 1500
-    ip_readers: int = 4
     queue_capacity: int = 256
     arp_timeout_ms: int = 1000
     arp_retries: int = 3
@@ -32,8 +31,8 @@ class StackConfig:
     def validate(self) -> "StackConfig":
         if self.mtu < 576:
             raise ConfigError(f"mtu {self.mtu} below the 576-byte minimum")
-        for name in ("ip_readers", "queue_capacity", "tcp_window_segments",
-                     "arp_retries", "tcp_backlog"):
+        for name in ("queue_capacity", "tcp_window_segments", "arp_retries",
+                     "tcp_backlog"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("arp_timeout_ms", "reassembly_timeout_ms", "tcp_rto_ms",
@@ -74,7 +73,6 @@ _FILE_KEYS = {
     "gateway": str,
     "mac": str,
     "mtu": int,
-    "ip_readers": int,
     "queue_capacity": int,
     "arp_timeout_ms": int,
     "reassembly_timeout_ms": int,

@@ -8,6 +8,7 @@ port, connection 4-tuple) to queues.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 
 from netstack.errors import AlreadyBound, Closed, ConfigError, NotBound, Timeout
@@ -172,7 +173,6 @@ class TaskSet:
     def join_all(self, timeout: float = 10.0) -> int:
         """Join every tracked task; returns how many were still alive after."""
         deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        import time
         stop_at = time.monotonic() + deadline
         with self._lock:
             threads = list(self._tasks)

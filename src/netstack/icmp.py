@@ -62,7 +62,7 @@ class IcmpPing:
                 self.counters.incr("icmp.drop.decode")
                 continue
             if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
-                self._reply(datagram.src, echo)
+                self._reply(datagram.src_ip, echo)
             else:
                 self._route_reply(echo)
 

@@ -1,4 +1,4 @@
-"""IPv4: protocol demux through a reader pool, fragmentation on send,
+"""IPv4: protocol demux through one reader task, fragmentation on send,
 and reassembly inside the dealer.
 
 The dealer owns the reassembly map and inserts every fragment itself,
@@ -19,15 +19,6 @@ from dataclasses import dataclass
 from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, LengthError, NoRoute, Timeout, WireError
-
-
-@dataclass
-class IpDatagram:
-    """What the layers above receive: a payload with its addressing."""
-    src: bytes
-    dst: bytes
-    protocol: int
-    payload: bytes
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,6 @@ class Ipv4Layer:
         self.broadcasts = (addr.BROADCAST_IP,
                            addr.subnet_broadcast(self.our_ip, self.netmask))
         self.mtu = config.mtu
-        self.reader_count = config.ip_readers
         self.reassembly_timeout_s = config.reassembly_timeout_ms / 1000.0
         self.inbound = MessageQueue(config.queue_capacity)
         self.dispatch_q = MessageQueue(config.queue_capacity)
@@ -136,8 +126,7 @@ class Ipv4Layer:
     def start(self) -> None:
         self.eth.registry.bind(wire.ETHERTYPE_IPV4, self.inbound)
         self.tasks.spawn("ip-dealer", self._dealer_loop)
-        for i in range(self.reader_count):
-            self.tasks.spawn(f"ip-reader-{i}", self._reader_loop)
+        self.tasks.spawn("ip-reader", self._reader_loop)
 
     def assembler_count(self) -> int:
         return len(self._assemblers)
@@ -213,10 +202,7 @@ class Ipv4Layer:
                 packet = self.dispatch_q.recv()
             except Closed:
                 return
-            self.registry.dispatch(
-                packet.protocol,
-                IpDatagram(src=packet.src_ip, dst=packet.dst_ip,
-                           protocol=packet.protocol, payload=packet.payload))
+            self.registry.dispatch(packet.protocol, packet)
 
     # --- outbound ---
 

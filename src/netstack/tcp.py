@@ -30,7 +30,6 @@ from netstack.errors import (
     ConnectionRefused,
     ConnectionReset,
     NetstackError,
-    PortsExhausted,
     Timeout,
     WireError,
 )
@@ -38,9 +37,6 @@ from netstack.errors import (
 _MASK = 0xFFFFFFFF
 _SEND_BUFFER_CAP = 262144
 _RETRANSMIT_LIMIT = 5  # transmissions counting the first; the 5th deadline resets
-
-EPHEMERAL_FIRST = 49152
-EPHEMERAL_LAST = 65535
 
 
 def seq_add(a: int, n: int) -> int:
@@ -491,11 +487,6 @@ class Tcb:
         if abort:
             self.force_reset(ConnectionClosed("closed during handshake"))
 
-    def _abort_locked_from_listener(self) -> None:
-        # lock already held: _child_established runs inside our _handle
-        self.error = ConnectionReset("accept backlog overflow")
-        self._enter(TcbState.CLOSED)
-
     # --- introspection, mostly for tests and benchmarks ---
 
     @property
@@ -580,7 +571,8 @@ class Listener:
         self._child_gone()
         try:
             if not self.accept_q.send_nowait(Connection(tcb)):
-                tcb._abort_locked_from_listener()
+                # tcb's lock is already held: this runs inside its _handle
+                tcb._reset_locked(ConnectionReset("accept backlog overflow"))
         except Closed:
             pass  # listener shut down while the handshake finished
 
@@ -611,7 +603,7 @@ class TcpLayer:
         self._lock = threading.Lock()
         self._connections = {}  # (local port, remote ip, remote port) -> Tcb
         self._listeners = {}  # port -> Listener
-        self._next_ephemeral = EPHEMERAL_FIRST
+        self._next_ephemeral = addr.EPHEMERAL_FIRST
         self._isn_rng = random.Random(config.isn_seed)
 
     def start(self) -> None:
@@ -626,7 +618,7 @@ class TcpLayer:
 
     def listen(self, port: int, backlog: int = None) -> Listener:
         with self._lock:
-            if port in self._listeners or self._port_in_use(port):
+            if self._port_taken(port):
                 raise AlreadyBound(f"tcp port {port}")
             listener = Listener(self, port, backlog or self.default_backlog)
             self._listeners[port] = listener
@@ -635,7 +627,8 @@ class TcpLayer:
     def connect(self, dst_ip, dst_port: int, timeout: float = 10.0) -> Connection:
         dst_ip = addr.as_ip(dst_ip)
         with self._lock:
-            local_port = self._pick_ephemeral()
+            local_port = addr.pick_ephemeral(self._next_ephemeral, self._port_taken, "tcp")
+            self._next_ephemeral = local_port + 1
             tcb = Tcb(self, local=(self.our_ip, local_port),
                       remote=(dst_ip, dst_port))
             self._connections[tcb.key] = tcb
@@ -664,11 +657,11 @@ class TcpLayer:
                 return
             try:
                 seg = wire.decode("tcp", datagram.payload,
-                                  src_ip=datagram.src, dst_ip=datagram.dst)
+                                  src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
             except WireError:
                 self.counters.incr("tcp.drop.decode")
                 continue
-            key = (seg.dst_port, datagram.src, seg.src_port)
+            key = (seg.dst_port, datagram.src_ip, seg.src_port)
             with self._lock:
                 tcb = self._connections.get(key)
                 listener = self._listeners.get(seg.dst_port)
@@ -677,10 +670,10 @@ class TcpLayer:
                 continue
             if listener is not None and seg.flag_syn and not seg.flag_ack \
                     and not seg.flag_rst:
-                self._new_server_tcb(listener, datagram.src, seg)
+                self._new_server_tcb(listener, datagram.src_ip, seg)
                 continue
             if not seg.flag_rst:
-                self._refuse(datagram.src, seg)
+                self._refuse(datagram.src_ip, seg)
 
     def _new_server_tcb(self, listener: Listener, peer_ip: bytes,
                         seg: wire.TcpSegment) -> None:
@@ -711,17 +704,8 @@ class TcpLayer:
 
     # --- registration plumbing ---
 
-    def _port_in_use(self, port: int) -> bool:
-        return any(key[0] == port for key in self._connections)
-
-    def _pick_ephemeral(self) -> int:
-        span = EPHEMERAL_LAST - EPHEMERAL_FIRST + 1
-        for i in range(span):
-            port = EPHEMERAL_FIRST + (self._next_ephemeral - EPHEMERAL_FIRST + i) % span
-            if port not in self._listeners and not self._port_in_use(port):
-                self._next_ephemeral = port + 1
-                return port
-        raise PortsExhausted("no ephemeral tcp ports left")
+    def _port_taken(self, port: int) -> bool:
+        return port in self._listeners or any(key[0] == port for key in self._connections)
 
     def _remove_listener(self, port: int) -> None:
         with self._lock:

@@ -2,7 +2,7 @@
 
 A socket's receive queue dropping its newest datagram when full is
 deliberate: blocking here would let one slow application stall the
-shared IP readers, and datagram loss is within the protocol's rules.
+IP reader, and datagram loss is within the protocol's rules.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ import threading
 
 from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
-from netstack.errors import AlreadyBound, Closed, LengthError, PortsExhausted, WireError
-
-EPHEMERAL_FIRST = 49152
-EPHEMERAL_LAST = 65535
+from netstack.errors import AlreadyBound, Closed, LengthError, WireError
 
 
 class UdpSocket:
@@ -51,7 +48,7 @@ class UdpLayer:
         self.inbound = MessageQueue(config.queue_capacity)
         self._ports = {}  # port -> UdpSocket
         self._lock = threading.Lock()
-        self._next_ephemeral = EPHEMERAL_FIRST
+        self._next_ephemeral = addr.EPHEMERAL_FIRST
 
     def start(self) -> None:
         self.ipv4.registry.bind(wire.PROTO_UDP, self.inbound)
@@ -60,21 +57,14 @@ class UdpLayer:
     def bind(self, port: int = 0) -> UdpSocket:
         with self._lock:
             if port == 0:
-                port = self._pick_ephemeral()
+                port = addr.pick_ephemeral(self._next_ephemeral,
+                                           self._ports.__contains__, "udp")
+                self._next_ephemeral = port + 1
             elif port in self._ports:
                 raise AlreadyBound(f"udp port {port}")
             sock = UdpSocket(self, port, self.queue_capacity)
             self._ports[port] = sock
             return sock
-
-    def _pick_ephemeral(self) -> int:
-        span = EPHEMERAL_LAST - EPHEMERAL_FIRST + 1
-        for i in range(span):
-            port = EPHEMERAL_FIRST + (self._next_ephemeral - EPHEMERAL_FIRST + i) % span
-            if port not in self._ports:
-                self._next_ephemeral = port + 1
-                return port
-        raise PortsExhausted("no ephemeral udp ports left")
 
     def _unbind(self, port: int) -> None:
         with self._lock:
@@ -98,7 +88,7 @@ class UdpLayer:
                 return
             try:
                 dgram = wire.decode("udp", datagram.payload,
-                                    src_ip=datagram.src, dst_ip=datagram.dst)
+                                    src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
             except WireError:
                 self.counters.incr("udp.drop.decode")
                 continue
@@ -108,7 +98,7 @@ class UdpLayer:
                 self.counters.incr("udp.drop.unbound")
                 continue
             try:
-                if not sock.queue.send_nowait((datagram.src, dgram.src_port, dgram.payload)):
+                if not sock.queue.send_nowait((datagram.src_ip, dgram.src_port, dgram.payload)):
                     self.counters.incr("udp.drop.full")
             except Closed:
                 self.counters.incr("udp.drop.closed")

@@ -25,3 +25,14 @@ def test_subnet_membership():
     assert addr.same_subnet(addr.parse_ip("10.0.0.1"), addr.parse_ip("10.0.0.200"), mask)
     assert not addr.same_subnet(addr.parse_ip("10.0.0.1"), addr.parse_ip("10.0.1.1"), mask)
     assert addr.subnet_broadcast(addr.parse_ip("10.0.0.1"), mask) == addr.parse_ip("10.0.0.255")
+
+
+def test_ephemeral_pick_skips_taken_ports_and_wraps():
+    assert addr.pick_ephemeral(50000, {50000, 50001}.__contains__, "udp") == 50002
+    assert addr.pick_ephemeral(65535, {65535}.__contains__, "udp") == 49152
+    assert addr.pick_ephemeral(65536, lambda port: False, "tcp") == 49152
+
+
+def test_ephemeral_pick_raises_when_every_port_is_taken():
+    with pytest.raises(errors.PortsExhausted, match="no ephemeral tcp ports left"):
+        addr.pick_ephemeral(49152, lambda port: True, "tcp")

@@ -1,13 +1,15 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from netstack import errors
+from netstack import config, errors
 from netstack.config import StackConfig, load_config
 
 
 def test_defaults_validate():
     cfg = StackConfig().validate()
     assert cfg.mtu == 1500
-    assert cfg.ip_readers == 4
     assert cfg.queue_capacity == 256
     assert cfg.tcp_window_segments == 32
 
@@ -43,6 +45,20 @@ def test_unknown_key(tmp_path):
     p.write_text("color=blue\n")
     with pytest.raises(errors.ConfigError):
         load_config(str(p))
+
+
+def test_load_config_rejects_removed_ip_readers_key(tmp_path):
+    p = tmp_path / "old.conf"
+    p.write_text("ip_readers=4\n")
+    with pytest.raises(errors.ConfigError, match="ip_readers"):
+        load_config(str(p))
+
+
+def test_readme_lists_exactly_the_config_file_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Recognized config keys:(.*?)\.\s+Anything else", readme, re.S)
+    assert sentence is not None, "README lost its config key sentence"
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(config._FILE_KEYS)
 
 
 def test_bad_value(tmp_path):

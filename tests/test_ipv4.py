@@ -56,8 +56,8 @@ def test_unfragmented_delivery_between_stacks(rig):
     q = _bind_test_proto(b)
     a.ipv4.send(B_IP, TEST_PROTO, b"direct payload")
     d = q.recv(timeout=2.0)
-    assert (d.src, d.dst, d.protocol, d.payload) == (A_IP, B_IP, TEST_PROTO,
-                                                     b"direct payload")
+    assert (d.src_ip, d.dst_ip, d.protocol, d.payload) == (A_IP, B_IP, TEST_PROTO,
+                                                           b"direct payload")
 
 
 def test_large_send_fragments_and_reassembles(rig):
@@ -184,7 +184,7 @@ def test_loopback_send_to_own_address(rig):
     q = _bind_test_proto(a)
     a.ipv4.send(A_IP, TEST_PROTO, b"to myself")
     d = q.recv(timeout=2.0)
-    assert d.payload == b"to myself" and d.src == A_IP
+    assert d.payload == b"to myself" and d.src_ip == A_IP
 
 
 def test_off_subnet_without_gateway_is_no_route(rig):

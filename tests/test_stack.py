@@ -19,12 +19,13 @@ def test_up_down_leaves_no_tasks():
     assert b.tasks.census() == 0, b.tasks.names()
 
 
-def test_default_stack_runs_eleven_tasks_one_of_them_icmp():
+def test_default_stack_runs_eight_tasks_one_ip_reader_one_icmp():
     a, b = stack.linked_stacks(link.ImpairmentProfile())
     try:
         names = a.tasks.names()
         assert [n for n in names if n.startswith("ping-")] == ["ping-dealer"], names
-        assert len(names) == 11, names
+        assert [n for n in names if n.startswith("ip-reader")] == ["ip-reader"], names
+        assert len(names) == 8, names
     finally:
         b.down()
         a.down()
