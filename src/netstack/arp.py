@@ -112,9 +112,12 @@ class ArpLayer:
         except WireError:
             self.counters.incr("arp.drop.decode")
             return
-        # any valid sender mapping refreshes the cache, gratuitous ones included
-        self._cache[pkt.sender_ip] = (pkt.sender_mac, time.monotonic())
-        self._publish()
+        # RFC 826's merge: any valid packet refreshes a known sender, but only
+        # one addressed to us adds a new one, so other hosts' ARP chatter
+        # cannot grow the cache
+        if pkt.sender_ip in self._cache or pkt.target_ip == self.our_ip:
+            self._cache[pkt.sender_ip] = (pkt.sender_mac, time.monotonic())
+            self._publish()
         pending = self._pending.pop(pkt.sender_ip, None)
         if pending is not None:
             self._answer(pending, pkt.sender_mac)

@@ -70,10 +70,6 @@ class MessageQueue:
             self._not_empty.notify_all()
             self._not_full.notify_all()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __len__(self) -> int:
         return len(self._items)
 

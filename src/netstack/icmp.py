@@ -2,8 +2,9 @@
 
 The dealer builds and sends each reply itself, inline, as the TCP dealer
 sends a refusal.  A requester has to ARP us before it can ping us, and the
-ARP dealer caches every sender it hears, so resolving the reply's next hop
-is normally a hit on the published cache; a miss waits in the dealer.
+ARP dealer caches the sender of every ARP packet aimed at us, so resolving
+the reply's next hop is normally a hit on the published cache; a miss
+waits in the dealer.
 An echo reply goes to the pinger waiting on its (identifier, sequence).
 """
 

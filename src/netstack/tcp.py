@@ -5,9 +5,17 @@ it segments through a bounded inbox, and the application's send and
 close calls leave work in the TCB.  Each turn of the task waits once,
 for a segment, for send work or for the connection's earliest deadline.
 It then handles every queued segment, fires the timers that are due
-(TIME_WAIT, the half-open handshake reap, and each in-flight segment's
-retransmission deadline in the ledger), cuts every segment the window
-allows, and emits all of it outside the lock.
+(the TIME_WAIT or half-open handshake deadline, and the connection's one
+retransmission timer), cuts every segment the window allows, and emits
+all of it outside the lock.
+
+The ledger holds the in-flight segments in send order.  As in RFC 6298,
+one timer covers them all: a timeout resends only the oldest and doubles
+the RTO, and an ACK that moves ``snd_una`` restarts it at the configured
+RTO.  If that ACK stops short of what was in flight when the timer last
+fired, the new oldest segment is resent at once (NewReno's partial
+acknowledgment, RFC 6582), so a window with several losses does not pay
+one RTO per hole.
 
 The TCB's fields are guarded by one lock per connection.  Two condition
 variables share it: ``_work`` wakes the connection task, and ``_cond``
@@ -20,6 +28,7 @@ import enum
 import random
 import threading
 import time
+from collections import deque
 
 from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
@@ -36,7 +45,7 @@ from netstack.errors import (
 
 _MASK = 0xFFFFFFFF
 _SEND_BUFFER_CAP = 262144
-_RETRANSMIT_LIMIT = 5  # transmissions counting the first; the 5th deadline resets
+_RETRANSMIT_LIMIT = 5  # transmissions counting the first; the 5th timeout resets
 
 
 def seq_add(a: int, n: int) -> int:
@@ -64,20 +73,6 @@ class TcbState(enum.Enum):
     TIME_WAIT = "TIME_WAIT"
 
 
-class RetransmitEntry:
-    """One in-flight segment: its bytes, range, and retransmission timer."""
-
-    __slots__ = ("start", "end", "segment", "rto", "deadline", "send_count")
-
-    def __init__(self, start: int, end: int, segment: bytes, rto: float):
-        self.start = start
-        self.end = end
-        self.segment = segment
-        self.rto = rto
-        self.deadline = time.monotonic() + rto
-        self.send_count = 1
-
-
 class Tcb:
     def __init__(self, layer: "TcpLayer", local: tuple, remote: tuple,
                  listener: "Listener" = None):
@@ -100,15 +95,18 @@ class Tcb:
         self.send_buf = bytearray()
         self.recv_buf = bytearray()
         self.ooo = {}  # seq -> payload, capped at window_segments entries
-        self.ledger = {}  # seq start -> RetransmitEntry
+        self.ledger = deque()  # (end seq, segment bytes) in flight, oldest first
         self.fin_requested = False
         self.fin_sent = False
         self.fin_seq = None
         self.remote_fin_done = False
         self.error: Exception | None = None
         self.done = False
-        self._time_wait_deadline = None
-        self._handshake_deadline = None
+        self._state_deadline = None  # TIME_WAIT's end, or SYN_RCVD's reap
+        self._rtx_deadline = None  # runs while the ledger holds anything
+        self._rto = layer.rto_s  # doubled by each timeout, reset by progress
+        self._timeouts = 0  # timeouts of the oldest segment without progress
+        self._recover = None  # snd_nxt when the timer last fired
 
     # --- helpers ---
 
@@ -136,9 +134,11 @@ class Tcb:
         except NetstackError:
             self.layer.counters.incr("tcp.drop.unroutable")
 
-    def _register_inflight(self, start: int, end: int, raw: bytes) -> None:
-        # the connection task reads the ledger's deadlines at its next wait
-        self.ledger[start] = RetransmitEntry(start, end, raw, self.layer.rto_s)
+    def _register_inflight(self, end: int, raw: bytes) -> None:
+        # the first segment in flight starts the timer; the rest ride on it
+        if not self.ledger:
+            self._rtx_deadline = time.monotonic() + self._rto
+        self.ledger.append((end, raw))
 
     # --- the connection task ---
 
@@ -191,43 +191,37 @@ class Tcb:
             self._work.wait(remaining)
 
     def _next_deadline(self) -> float | None:
-        deadlines = [entry.deadline for entry in self.ledger.values()]
-        if self.state is TcbState.TIME_WAIT:
-            deadlines.append(self._time_wait_deadline)
-        elif self.state is TcbState.SYN_RCVD:
-            deadlines.append(self._handshake_deadline)
+        deadlines = [d for d in (self._rtx_deadline, self._state_deadline)
+                     if d is not None]
         return min(deadlines, default=None)
 
     def _fire_timers(self, out: list) -> None:
         now = time.monotonic()
-        if self.state is TcbState.TIME_WAIT and now >= self._time_wait_deadline:
+        if self._state_deadline is not None and now >= self._state_deadline:
+            if self.state is TcbState.SYN_RCVD:
+                # the peer never completed the handshake; reap silently
+                self.layer.counters.incr("tcp.reap.half_open")
+                if self.listener is not None:
+                    self.listener._child_gone()
             self._enter(TcbState.CLOSED)
             return
-        if self.state is TcbState.SYN_RCVD and now >= self._handshake_deadline:
-            # the peer never completed the handshake; reap silently
-            self.layer.counters.incr("tcp.reap.half_open")
-            if self.listener is not None:
-                self.listener._child_gone()
-            self._enter(TcbState.CLOSED)
+        if self.state is TcbState.CLOSED or self._rtx_deadline is None \
+                or now < self._rtx_deadline:
+            return  # not due, or closed: a closed TCB retransmits nothing
+        self._timeouts += 1
+        if self._timeouts >= _RETRANSMIT_LIMIT:
+            self.layer.counters.incr("tcp.reset.retransmit_limit")
+            out.append(self._segment(self.snd_nxt, rst=True))
+            self._reset_locked(ConnectionReset("retransmission limit reached"))
             return
-        if self.state is TcbState.CLOSED:
-            return  # a closed TCB retransmits nothing
-        resent = []
-        for entry in self.ledger.values():
-            if entry.deadline > now:
-                continue
-            if entry.send_count >= _RETRANSMIT_LIMIT:
-                self.layer.counters.incr("tcp.reset.retransmit_limit")
-                out.append(self._segment(self.snd_nxt, rst=True))
-                self._reset_locked(ConnectionReset("retransmission limit reached"))
-                return
-            entry.send_count += 1
-            entry.rto *= 2
-            entry.deadline = now + entry.rto
-            resent.append(entry.segment)
-        if resent:
-            self.layer.counters.incr("tcp.retransmit", len(resent))
-            out.extend(resent)
+        self._resend_oldest(out)
+        self._rto *= 2
+        self._rtx_deadline = now + self._rto
+        self._recover = self.snd_nxt
+
+    def _resend_oldest(self, out: list) -> None:
+        self.layer.counters.incr("tcp.retransmit")
+        out.append(self.ledger[0][1])
 
     # --- the state machine, called with the lock held ---
 
@@ -253,15 +247,14 @@ class Tcb:
 
         if self.state is TcbState.SYN_RCVD:
             if seg.ack == self.snd_nxt:
-                self.snd_una = seg.ack
-                self._ack_ledger(seg.ack)
+                self._state_deadline = None
                 self._enter(TcbState.ESTABLISHED)
                 if self.listener is not None:
                     self.listener._child_established(self)
             else:
                 return
 
-        self._process_ack(seg.ack)
+        self._process_ack(seg.ack, out)
 
         if self.fin_sent and seq_le(seq_add(self.fin_seq, 1), self.snd_una):
             if self.state is TcbState.FIN_WAIT_1:
@@ -285,8 +278,7 @@ class Tcb:
             return
         if seg.flag_syn and seg.flag_ack and seg.ack == self.snd_nxt:
             self.rcv_nxt = seq_add(seg.seq, 1)
-            self.snd_una = seg.ack
-            self._ack_ledger(seg.ack)
+            self._process_ack(seg.ack, out)
             self._enter(TcbState.ESTABLISHED)
             out.append(self._segment(self.snd_nxt))
 
@@ -298,16 +290,20 @@ class Tcb:
             self.error = ConnectionReset("reset by peer")
         self._enter(TcbState.CLOSED)
 
-    def _process_ack(self, ack: int) -> None:
-        if seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt):
-            self.snd_una = ack
-            self._ack_ledger(ack)
-
-    def _ack_ledger(self, ack: int) -> None:
-        for start in list(self.ledger):
-            entry = self.ledger[start]
-            if seq_le(entry.end, ack):
-                del self.ledger[start]
+    def _process_ack(self, ack: int, out: list) -> None:
+        if not (seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt)):
+            return
+        self.snd_una = ack
+        while self.ledger and seq_le(self.ledger[0][0], ack):
+            self.ledger.popleft()
+        self._rto = self.layer.rto_s
+        self._timeouts = 0
+        self._rtx_deadline = time.monotonic() + self._rto if self.ledger else None
+        if self._recover is not None:
+            if seq_lt(ack, self._recover):
+                self._resend_oldest(out)  # partial ACK: the next hole is lost too
+            else:
+                self._recover = None
 
     def _process_data(self, seg: wire.TcpSegment, out: list) -> None:
         if self.state is TcbState.TIME_WAIT:
@@ -350,7 +346,7 @@ class Tcb:
             self.rcv_nxt = seq_add(self.rcv_nxt, len(chunk))
 
     def _enter_time_wait(self) -> None:
-        self._time_wait_deadline = time.monotonic() + self.layer.time_wait_s
+        self._state_deadline = time.monotonic() + self.layer.time_wait_s
         self._enter(TcbState.TIME_WAIT)
 
     def _reset_locked(self, error: Exception) -> None:
@@ -379,7 +375,7 @@ class Tcb:
             seq = self.snd_nxt
             self.snd_nxt = seq_add(seq, len(chunk))
             raw = self._segment(seq, payload=chunk)
-            self._register_inflight(seq, self.snd_nxt, raw)
+            self._register_inflight(self.snd_nxt, raw)
             self._cond.notify_all()  # send() may be waiting for buffer room
             return raw
         seq = self.snd_nxt
@@ -387,7 +383,7 @@ class Tcb:
         self.fin_sent = True
         self.fin_seq = seq
         raw = self._segment(seq, fin=True)
-        self._register_inflight(seq, self.snd_nxt, raw)
+        self._register_inflight(self.snd_nxt, raw)
         if self.state is TcbState.ESTABLISHED:
             self._enter(TcbState.FIN_WAIT_1)
         elif self.state is TcbState.CLOSE_WAIT:
@@ -406,7 +402,7 @@ class Tcb:
             self.snd_una = self.iss
             self.snd_nxt = seq_add(self.iss, 1)
             raw = self._segment(self.iss, syn=True, with_ack=False, mss=self.mss)
-            self._register_inflight(self.iss, self.snd_nxt, raw)
+            self._register_inflight(self.snd_nxt, raw)
             self._enter(TcbState.SYN_SENT)
         self._emit(raw)
 
@@ -417,9 +413,9 @@ class Tcb:
             self.iss = self.layer.pick_isn()
             self.snd_una = self.iss
             self.snd_nxt = seq_add(self.iss, 1)
-            self._handshake_deadline = time.monotonic() + self.layer.handshake_timeout_s
+            self._state_deadline = time.monotonic() + self.layer.handshake_timeout_s
             raw = self._segment(self.iss, syn=True, mss=self.mss)
-            self._register_inflight(self.iss, self.snd_nxt, raw)
+            self._register_inflight(self.snd_nxt, raw)
             self._enter(TcbState.SYN_RCVD)
         self._emit(raw)
 

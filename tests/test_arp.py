@@ -8,7 +8,7 @@ import pytest
 
 from conftest import wait_until
 
-from netstack import addr, errors, link, stack
+from netstack import addr, errors, link, stack, wire
 from netstack.config import StackConfig
 
 
@@ -131,6 +131,30 @@ def test_peers_learn_from_requests_that_target_them(rig):
     before = b.counters.get("arp.tx.request")
     assert b.arp.resolve(addr.parse_ip("10.0.0.1")) == a.eth.mac
     assert b.counters.get("arp.tx.request") == before
+
+
+def test_only_requests_for_us_add_senders_but_any_refreshes_them(solo):
+    s, far_end = solo()
+    target = addr.parse_ip("10.0.0.77")  # some other host on the segment
+
+    def arp(opcode, sender_ip, sender_mac, target_ip):
+        pkt = wire.ArpPacket(opcode=opcode, sender_mac=sender_mac,
+                             sender_ip=sender_ip, target_mac=bytes(6),
+                             target_ip=target_ip)
+        far_end.write_frame(wire.EthernetFrame(
+            dst_mac=addr.BROADCAST_MAC, src_mac=sender_mac,
+            ethertype=wire.ETHERTYPE_ARP, payload=pkt.encode()).encode())
+
+    known, stranger = addr.parse_ip("10.0.0.98"), addr.parse_ip("10.0.0.99")
+    old_mac, new_mac = bytes([2, 0, 0, 0, 0, 0x98]), bytes([2, 0, 0, 0, 0, 0x99])
+    arp(wire.ARP_REQUEST, known, old_mac, s.ip)  # asks for us: learned
+    assert wait_until(lambda: known in s.arp._published)
+    # "who-has 10.0.0.77 tell 10.0.0.99" is not for us: 10.0.0.99 stays out
+    arp(wire.ARP_REQUEST, stranger, new_mac, target)
+    # the same kind of request refreshes a sender already known
+    arp(wire.ARP_REQUEST, known, new_mac, target)
+    assert wait_until(lambda: s.arp._published[known][0] == new_mac)
+    assert stranger not in s.arp._published
 
 
 def test_expired_cache_entries_are_not_returned():

@@ -463,6 +463,60 @@ def test_retransmission_timer_fires_under_steady_inbound_traffic(solo):
     _expect_retransmission_limit(solo, chatter=True)
 
 
+def _scripted_connection(solo, port: int):
+    """A stack with a 100 ms RTO, accepted over a hand-driven peer.
+
+    Returns the stack, the peer, the accepted connection and an ack(n)
+    that makes the peer acknowledge the stack's bytes up to sequence n."""
+    s, far_end = solo(tcp_rto_ms=100)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    listener = s.tcp.listen(port)
+    peer.announce(A_IP)
+    peer.send_tcp(A_IP, A_MAC, src_port=6004, dst_port=port,
+                  seq=800, ack=0, flag_syn=True)
+    synack = peer.expect_tcp(lambda g: g.flag_syn and g.flag_ack)
+
+    def ack(n):
+        peer.send_tcp(A_IP, A_MAC, src_port=6004, dst_port=port,
+                      seq=801, ack=n % 2**32, flag_ack=True)
+
+    ack(synack.seq + 1)
+    return s, peer, listener.accept(timeout=2.0), ack
+
+
+def _data(seg) -> bool:
+    return bool(seg.payload)
+
+
+def test_timeout_resends_only_the_oldest_segment(solo):
+    s, peer, conn, ack = _scripted_connection(solo, 7105)
+    mss = conn.tcb.mss
+    conn.send(bytes(3 * mss))
+    first, second, third = (peer.expect_tcp(_data) for _ in range(3))
+    ack(first.seq + mss)
+    copy = peer.expect_tcp(_data)
+    assert copy.seq == second.seq
+    ack(third.seq + mss)
+    with pytest.raises((AssertionError, errors.Timeout)):  # no third copy
+        peer.expect_tcp(_data, timeout=0.3)
+    assert s.counters.get("tcp.retransmit") == 1
+    assert wait_until(lambda: conn.tcb.ledger_size() == 0)
+
+
+def test_partial_ack_resends_the_next_hole_at_once(solo):
+    s, peer, conn, ack = _scripted_connection(solo, 7106)
+    mss = conn.tcb.mss
+    conn.send(bytes(5 * mss))
+    segs = [peer.expect_tcp(_data) for _ in range(5)]
+    ack(segs[0].seq + mss)  # the 2nd and 4th segments never arrived
+    assert peer.expect_tcp(_data).seq == segs[1].seq  # the timeout's copy
+    ack(segs[3].seq)  # the copy filled the first hole; the second remains
+    assert peer.expect_tcp(_data, timeout=0.05).seq == segs[3].seq  # < RTO/2
+    ack(segs[4].seq + mss)
+    assert wait_until(lambda: conn.tcb.ledger_size() == 0)
+    assert s.counters.get("tcp.retransmit") == 2
+
+
 def test_stray_segment_gets_rst(solo):
     s, far_end = solo()
     peer = ScriptedPeer(far_end, ip=B_IP)
