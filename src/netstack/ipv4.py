@@ -63,8 +63,8 @@ class _Assembler:
         """Add one fragment; returns the whole datagram once it is complete."""
         start = fragment.fragment_offset * 8
         end = start + len(fragment.payload)
-        if end > 65535:
-            self.counters.incr("ip.drop.fragment_conflict")
+        if end > 65535 - wire.IP_HEADER:  # the whole datagram must fit one IPv4 packet
+            self.counters.incr("ip.drop.oversize")
             return None
         if not fragment.mf:
             if self.total is not None and self.total != end:

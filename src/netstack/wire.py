@@ -43,18 +43,23 @@ _URG = 0x20
 
 
 def internet_checksum(data: bytes) -> int:
-    """One's-complement checksum over big-endian 16-bit words.
+    """One's-complement checksum over big-endian 16-bit words (RFC 1071).
 
     Odd-length input is padded with a zero byte for summation only.
     Placing the result in the checksum field makes a re-run over the
     same region yield 0.
+
+    The buffer read as one big-endian integer is the sum of word_i * 2^(16i),
+    and 2^16 ≡ 1 (mod 0xFFFF), so its remainder mod 0xFFFF is the
+    ones'-complement sum of the words, folded, with 0xFFFF read as 0. End-around
+    carry never sums non-zero data to +0, so a zero remainder from non-zero
+    data is a sum of 0xFFFF, whose complement is 0; all-zero data sums to 0.
     """
+    n = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+        n <<= 8
+    s = n % 0xFFFF
+    return 0 if s == 0 and n else 0xFFFF - s
 
 
 def transport_checksum(src_ip: bytes, dst_ip: bytes, protocol: int, segment: bytes) -> int:

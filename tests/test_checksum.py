@@ -93,3 +93,60 @@ def test_single_bit_flip_breaks_verification():
             seg[byte_i] ^= 1 << bit
             assert wire.transport_checksum(src, dst, 17, bytes(seg)) != 0
             seg[byte_i] ^= 1 << bit
+
+
+# The zero/0xFFFF edge: random buffers almost never sum to 0xFFFF or to 0,
+# so these inputs are pinned by hand.
+
+@pytest.mark.parametrize("length", [2, 20, 1480, 9008])
+def test_all_ones_buffer_of_even_length_checksums_to_zero(length):
+    data = b"\xff" * length
+    assert reference_checksum(data) == 0
+    assert wire.internet_checksum(data) == 0
+
+
+@pytest.mark.parametrize("length", [1, 3, 21, 1481])
+def test_all_ones_buffer_of_odd_length_checksums_to_00ff(length):
+    # the zero pad makes the last word 0xFF00
+    data = b"\xff" * length
+    assert reference_checksum(data) == 0x00FF
+    assert wire.internet_checksum(data) == 0x00FF
+
+
+@pytest.mark.parametrize("length", [3, 21, 1481])
+def test_odd_length_buffer_summing_to_ffff_checksums_to_zero(length):
+    # words 0x00FF, 0xFFFF..., and the padded 0xFF00 add up to 0xFFFF
+    data = b"\x00" + b"\xff" * (length - 1)
+    assert reference_checksum(data) == 0
+    assert wire.internet_checksum(data) == 0
+
+
+@pytest.mark.parametrize("data", [bytes.fromhex("1234edcb"), bytes.fromhex("0001fffe"),
+                                  bytes.fromhex("80007fff")])
+def test_mixed_words_summing_to_a_multiple_of_ffff_checksum_to_zero(data):
+    assert reference_checksum(data) == 0
+    assert wire.internet_checksum(data) == 0
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 20, 1480, 9008])
+def test_all_zero_buffer_checksums_to_all_ones(length):
+    assert wire.internet_checksum(bytes(length)) == 0xFFFF
+
+
+def test_matches_reference_on_large_random_buffers():
+    rng = random.Random(10)
+    for i in range(40):
+        # alternate parities, 2001..65534 bytes
+        length = rng.randrange(1001, 32768) * 2 - i % 2
+        data = rng.randbytes(length)
+        assert wire.internet_checksum(data) == reference_checksum(data)
+
+
+def test_bytearray_and_memoryview_inputs_match_bytes():
+    rng = random.Random(12)
+    for length in (0, 1, 2, 19, 20, 1481):
+        data = rng.randbytes(length)
+        want = wire.internet_checksum(data)
+        assert wire.internet_checksum(bytearray(data)) == want
+        assert wire.internet_checksum(memoryview(data)) == want
+        assert wire.internet_checksum(memoryview(b"xx" + data)[2:]) == want

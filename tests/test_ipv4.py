@@ -191,3 +191,35 @@ def test_off_subnet_without_gateway_is_no_route(rig):
     a, _b = rig()
     with pytest.raises(errors.NoRoute):
         a.ipv4.send(addr.parse_ip("192.168.9.9"), TEST_PROTO, b"x")
+
+
+def _two_fragments_ending_at(end, ident):
+    first = wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=TEST_PROTO,
+                            payload=bytes(65000), identification=ident,
+                            mf=True)
+    last = wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=TEST_PROTO,
+                           payload=b"\x01" * (end - 65000), identification=ident,
+                           fragment_offset=65000 // 8)
+    return first, last
+
+
+def test_reassembly_refuses_a_datagram_over_65535_bytes(rig):
+    # 65516 payload bytes plus a 20-byte header would be a 65536-byte datagram
+    a, _b = rig()
+    q = _bind_test_proto(a)
+    for pkt in _two_fragments_ending_at(65516, ident=7):
+        a.ipv4.inbound.send(("packet", pkt))
+    assert wait_until(lambda: a.counters.get("ip.drop.oversize") == 1)
+    assert a.counters.get("ip.reassembly.completed") == 0
+    with pytest.raises(errors.Timeout):
+        q.recv(timeout=0.2)
+
+
+def test_reassembly_accepts_a_datagram_of_exactly_65535_bytes(rig):
+    a, _b = rig()
+    q = _bind_test_proto(a)
+    for pkt in _two_fragments_ending_at(65515, ident=8):
+        a.ipv4.inbound.send(("packet", pkt))
+    d = q.recv(timeout=2.0)
+    assert d.payload == bytes(65000) + b"\x01" * 515
+    assert a.counters.get("ip.drop.oversize") == 0

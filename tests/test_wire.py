@@ -165,6 +165,18 @@ def test_udp_zero_checksum_accepted():
     assert wire.decode("udp", bytes(raw), src_ip=SRC_IP, dst_ip=DST_IP).payload == b"x"
 
 
+def test_udp_computed_zero_checksum_is_sent_as_all_ones():
+    # With its last word 0, the datagram checksums to c; a last word of c
+    # then makes the words sum to 0xFFFF, whose checksum is 0.
+    head = struct.pack("!HHHH", 5000, 7, 8 + 6, 0)
+    c = wire.transport_checksum(SRC_IP, DST_IP, 17, head + b"abcd\x00\x00")
+    d = UdpDatagram(src_port=5000, dst_port=7, payload=b"abcd" + struct.pack("!H", c))
+    assert wire.transport_checksum(SRC_IP, DST_IP, 17, head + d.payload) == 0
+    raw = d.encode(SRC_IP, DST_IP)
+    assert raw[6:8] == b"\xff\xff"
+    assert wire.decode("udp", raw, src_ip=SRC_IP, dst_ip=DST_IP) == d
+
+
 def test_udp_bad_checksum_rejected():
     raw = bytearray(UdpDatagram(src_port=1, dst_port=2, payload=b"xy").encode(SRC_IP, DST_IP))
     raw[8] ^= 0x40
