@@ -168,14 +168,18 @@ def bench_throughput(levels, bytes_per_client: int = 4096,
             deadline = time.monotonic() + 120.0
             while any(ft is None for ft in finish_times):
                 if time.monotonic() > deadline:
-                    raise RuntimeError("transfer never completed")
+                    failures.append("transfer never completed")
+                    break
                 time.sleep(0.005)
-            wall = max(finish_times) - start
+            counters = _drop_counters(a=a, b=b)
+            for name, s in (("a", a), ("b", b)):
+                counters[f"{name}:tcp.retransmit"] = s.counters.get("tcp.retransmit")
         finally:
             a.down()
             b.down()
         if failures:
-            raise RuntimeError("; ".join(failures))
+            raise RuntimeError(f"{'; '.join(failures)}; counters {counters}")
+        wall = max(finish_times) - start
         total_bits = 8 * bytes_per_client * level
         record = ThroughputRecord(
             clients=level, bytes_per_client=bytes_per_client,

@@ -17,6 +17,22 @@ fired, the new oldest segment is resent at once (NewReno's partial
 acknowledgment, RFC 6582), so a window with several losses does not pay
 one RTO per hole.
 
+An in-order data segment that arrives while no out-of-order data is held
+is not acknowledged on its own: it sets ``_ack_owed``, and the turn ends
+with one cumulative ACK, or with none if it cut a segment, which carries
+``rcv_nxt`` anyway.  A FIN, and any segment that arrives in TIME_WAIT,
+are acknowledged the same way.  RFC 5681 §4.2 lets a receiver combine
+ACKs, and the same section asks for an immediate ACK of a segment that
+is out of order, fills a hole, or falls outside the window; those keep
+theirs, so after a loss the sender hears of each step at once.  The ACK
+waits on no timer: a turn emits only after its whole batch, so each ACK
+it leaves out carried a smaller ack number and would have left at the
+same instant.  Unlike RFC 1122 §4.2.3.2, there is no ACK for every
+second full segment either.  That rule keeps stretch ACKs from slowing a
+congestion window's growth (RFC 2525 §2.13), and this stack has no
+congestion window: it sends as many segments as ``tcp_window_segments``
+allows.
+
 The TCB's fields are guarded by one lock per connection.  Two condition
 variables share it: ``_work`` wakes the connection task, and ``_cond``
 wakes application calls waiting for state, data or buffer room.
@@ -107,6 +123,7 @@ class Tcb:
         self._rto = layer.rto_s  # doubled by each timeout, reset by progress
         self._timeouts = 0  # timeouts of the oldest segment without progress
         self._recover = None  # snd_nxt when the timer last fired
+        self._ack_owed = False  # in-order data or a FIN awaits the turn's ACK
 
     # --- helpers ---
 
@@ -127,6 +144,10 @@ class Tcb:
             flag_ack=with_ack, mss=mss, payload=payload,
         )
         return seg.encode(self.local[0], self.remote[0])
+
+    def _pure_ack(self, out: list) -> None:
+        self.layer.counters.incr("tcp.tx.pure_ack")
+        out.append(self._segment(self.snd_nxt))
 
     def _emit(self, raw: bytes) -> None:
         try:
@@ -165,9 +186,14 @@ class Tcb:
                 for seg in inbox:
                     self._handle(seg, out)
                 self._fire_timers(out)
+                cut = self._can_cut()
                 while self._can_cut():
                     out.append(self._cut_segment_locked())
                 finished = self.state is TcbState.CLOSED
+                if self._ack_owed:
+                    self._ack_owed = False
+                    if not (cut or finished):  # a cut segment carries rcv_nxt
+                        self._pure_ack(out)
                 if finished:
                     self.done = True
                     self.ledger.clear()
@@ -239,7 +265,7 @@ class Tcb:
 
         if seg.flag_syn:
             # duplicate SYN on an existing connection: repeat our ACK
-            out.append(self._segment(self.snd_nxt))
+            self._pure_ack(out)
             return
 
         if not seg.flag_ack:
@@ -280,7 +306,7 @@ class Tcb:
             self.rcv_nxt = seq_add(seg.seq, 1)
             self._process_ack(seg.ack, out)
             self._enter(TcbState.ESTABLISHED)
-            out.append(self._segment(self.snd_nxt))
+            self._pure_ack(out)
 
     def _handle_rst(self) -> None:
         if self.state is TcbState.SYN_RCVD and self.listener is not None:
@@ -307,12 +333,18 @@ class Tcb:
 
     def _process_data(self, seg: wire.TcpSegment, out: list) -> None:
         if self.state is TcbState.TIME_WAIT:
-            out.append(self._segment(self.snd_nxt))
+            if seg.flag_fin:
+                # the peer lost our ACK of its FIN: restart the 2 MSL wait
+                # (RFC 9293 §3.10.7.4)
+                self._state_deadline = time.monotonic() + self.layer.time_wait_s
+            self._ack_owed = True
             return
         data = seg.payload
         if data:
             end = seq_add(seg.seq, len(data))
+            ack_now = True  # out of order, filling a hole, or out of window
             if seq_le(seg.seq, self.rcv_nxt) and seq_lt(self.rcv_nxt, end):
+                ack_now = bool(self.ooo)
                 skip = (self.rcv_nxt - seg.seq) & _MASK
                 self.recv_buf.extend(data[skip:])
                 self.rcv_nxt = end
@@ -324,7 +356,10 @@ class Tcb:
                 self.ooo.setdefault(seg.seq, data)
             else:
                 self.layer.counters.incr("tcp.drop.out_of_window")
-            out.append(self._segment(self.snd_nxt))
+            if ack_now:
+                self._pure_ack(out)
+            else:
+                self._ack_owed = True
         if seg.flag_fin:
             fin_seq = seq_add(seg.seq, len(data))
             if fin_seq == self.rcv_nxt and not self.remote_fin_done:
@@ -336,8 +371,7 @@ class Tcb:
                     self._enter_time_wait()
                 # in FIN_WAIT_1 we hold position until our own FIN is acked
                 self._cond.notify_all()
-            if not data:
-                out.append(self._segment(self.snd_nxt))
+            self._ack_owed = True
 
     def _drain_out_of_order(self) -> None:
         while self.rcv_nxt in self.ooo:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from netstack import bench
+from netstack import bench, tcp
 from netstack.csp import Counters
 
 
@@ -37,6 +37,31 @@ def test_drop_counters_name_the_stack_and_skip_zeros():
     assert bench._drop_counters(a=SimpleNamespace(counters=a),
                                 b=SimpleNamespace(counters=b)) == {
         "a:link.drop.overflow": 3, "b:ip.drop.not_ours": 1}
+
+
+def test_throughput_failure_prints_both_stacks_counters(monkeypatch):
+    built_pair = bench._stack_pair
+
+    def pair_with_a_drop(*args, **kwargs):
+        a, b = built_pair(*args, **kwargs)
+        a.counters.incr("link.drop.overflow")
+        return a, b
+
+    recv_exactly = tcp.Connection.recv_exactly
+
+    def corrupting_recv_exactly(self, n, timeout=None):
+        data = recv_exactly(self, n, timeout)
+        return data if n == 4 else bytes([data[0] ^ 1]) + data[1:]
+
+    monkeypatch.setattr(bench, "_stack_pair", pair_with_a_drop)
+    monkeypatch.setattr(tcp.Connection, "recv_exactly", corrupting_recv_exactly)
+    with pytest.raises(RuntimeError) as failure:
+        bench.bench_throughput([1], bytes_per_client=4000, delay=0.0)
+    message = str(failure.value)
+    assert message.startswith("stream 0 payload mismatch; counters {")
+    assert "'a:link.drop.overflow': 1" in message
+    assert "'a:tcp.retransmit': 0" in message
+    assert "'b:tcp.retransmit': 0" in message
 
 
 def test_latency_includes_wire_delay_floor():

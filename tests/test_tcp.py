@@ -463,12 +463,13 @@ def test_retransmission_timer_fires_under_steady_inbound_traffic(solo):
     _expect_retransmission_limit(solo, chatter=True)
 
 
-def _scripted_connection(solo, port: int):
+def _scripted_connection(solo, port: int, **overrides):
     """A stack with a 100 ms RTO, accepted over a hand-driven peer.
 
-    Returns the stack, the peer, the accepted connection and an ack(n)
-    that makes the peer acknowledge the stack's bytes up to sequence n."""
-    s, far_end = solo(tcp_rto_ms=100)
+    The peer's first data byte is sequence 801. Returns the stack, the
+    peer, the accepted connection and an ack(n) that makes the peer
+    acknowledge the stack's bytes up to sequence n."""
+    s, far_end = solo(tcp_rto_ms=100, **overrides)
     peer = ScriptedPeer(far_end, ip=B_IP)
     listener = s.tcp.listen(port)
     peer.announce(A_IP)
@@ -525,3 +526,108 @@ def test_stray_segment_gets_rst(solo):
                   seq=100, ack=77, flag_ack=True, payload=b"who are you")
     rst = peer.expect_tcp(lambda g: g.flag_rst)
     assert rst.src_port == 9999 and rst.dst_port == 6002
+
+
+def test_bulk_receiver_sends_far_fewer_pure_acks_than_segments(rig):
+    a, b = rig()
+    payload = bytes(random.Random(27).randbytes(1024 * 1024))
+    listener = b.tcp.listen(7016)
+    results = []
+    t = threading.Thread(target=_serve_echo_total,
+                         args=(listener, results, len(payload)))
+    t.start()
+    client = a.tcp.connect(B_IP, 7016)
+    client.send(payload, timeout=30.0)
+    t.join(timeout=30.0)
+    assert results == [payload]
+    data_segments = -(-len(payload) // client.tcb.mss)  # 719
+    assert 0 < b.counters.get("tcp.tx.pure_ack") <= data_segments // 2
+    client.close()
+
+
+# The ACK rule, one turn at a time: with the TCB's lock held, the connection
+# task is parked, so everything put in its inbox is handled in one turn.
+
+def _from_peer(conn, seq: int, payload: bytes = b"", fin: bool = False):
+    tcb = conn.tcb
+    return wire.TcpSegment(src_port=tcb.remote[1], dst_port=tcb.local[1],
+                           seq=seq, ack=tcb.snd_nxt, flag_ack=True,
+                           flag_fin=fin, payload=payload)
+
+
+def _one_turn(conn, segments, send: bytes = b"") -> None:
+    tcb = conn.tcb
+    with tcb._lock:
+        tcb._inbox.extend(segments)
+        tcb.send_buf.extend(send)
+        tcb._work.notify()
+
+
+def _all_sent(peer, quiet: float = 0.3) -> list:
+    """Every segment the stack sends until it stays quiet for `quiet` s."""
+    sent = []
+    while True:
+        try:
+            sent.append(peer.expect_tcp(timeout=quiet))
+        except (AssertionError, errors.Timeout):
+            return sent
+
+
+def test_in_order_segments_of_one_turn_get_one_cumulative_ack(solo):
+    s, peer, conn, _ack = _scripted_connection(solo, 7107)
+    _one_turn(conn, [_from_peer(conn, 801 + 100 * i, bytes(100)) for i in range(4)])
+    [only] = _all_sent(peer)
+    assert only.ack == 1201 and not only.payload
+    assert s.counters.get("tcp.tx.pure_ack") == 1
+    assert conn.recv_exactly(400, timeout=2.0) == bytes(400)
+
+
+def test_out_of_order_segments_and_the_hole_filler_are_acked_at_once(solo):
+    _s, peer, conn, _ack = _scripted_connection(solo, 7108)
+    _one_turn(conn, [_from_peer(conn, seq, bytes(100)) for seq in (901, 1001, 1101)])
+    assert [seg.ack for seg in _all_sent(peer)] == [801, 801, 801]
+    # the filler is ACKed before the turn's in-order segment after it
+    _one_turn(conn, [_from_peer(conn, 801, bytes(100)),
+                     _from_peer(conn, 1201, bytes(100))])
+    assert [seg.ack for seg in _all_sent(peer)] == [1201, 1301]
+
+
+@pytest.mark.parametrize("data", [b"", bytes(100)], ids=["bare", "with_data"])
+def test_fin_is_acked(solo, data):
+    _s, peer, conn, _ack = _scripted_connection(solo, 7109)
+    _one_turn(conn, [_from_peer(conn, 801, data, fin=True)])
+    [only] = _all_sent(peer)
+    assert only.ack == 801 + len(data) + 1  # the data and the FIN
+    assert conn.state is TcbState.CLOSE_WAIT
+
+
+def test_turn_that_cuts_data_sends_no_pure_ack(solo):
+    s, peer, conn, ack = _scripted_connection(solo, 7110)
+    _one_turn(conn, [_from_peer(conn, 801, bytes(100))], send=b"reply")
+    reply = peer.expect_tcp()
+    assert reply.payload == b"reply" and reply.ack == 901
+    ack(reply.seq + len(reply.payload))
+    # nothing else, bar a copy the 100 ms RTO may resend before that ACK lands
+    assert all(seg.payload == b"reply" for seg in _all_sent(peer))
+    assert s.counters.get("tcp.tx.pure_ack") == 0
+
+
+def test_retransmitted_fin_restarts_time_wait(solo):
+    _s, peer, conn, ack = _scripted_connection(solo, 7111, tcp_time_wait_ms=1000)
+    conn.close()
+    fin = peer.expect_tcp(lambda g: g.flag_fin)
+
+    def send_fin():
+        peer.send_tcp(A_IP, A_MAC, src_port=6004, dst_port=7111, seq=801,
+                      ack=(fin.seq + 1) % 2**32, flag_fin=True, flag_ack=True)
+
+    send_fin()
+    assert peer.expect_tcp().ack == 802
+    entered = time.monotonic()  # TIME_WAIT began before this ACK left
+    assert conn.state is TcbState.TIME_WAIT
+    time.sleep(0.6)
+    send_fin()  # as if our ACK were lost
+    assert peer.expect_tcp().ack == 802
+    time.sleep(max(0.0, entered + 1.2 - time.monotonic()))
+    assert conn.state is TcbState.TIME_WAIT  # past the first 1 s deadline
+    assert wait_until(lambda: conn.state is TcbState.CLOSED, timeout=3.0)
