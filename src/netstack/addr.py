@@ -39,6 +39,13 @@ def as_ip(value) -> bytes:
     return value
 
 
+def as_port(value) -> int:
+    """A TCP or UDP port number, 0 to 65535."""
+    if not isinstance(value, int) or not 0 <= value <= 65535:
+        raise ConfigError(f"bad port: {value!r}")
+    return value
+
+
 def parse_mac(text: str) -> bytes:
     parts = text.strip().replace("-", ":").split(":")
     if len(parts) != 6:

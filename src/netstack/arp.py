@@ -7,8 +7,8 @@ there returns at once without a message.  A miss or an expired entry
 goes to the dealer as a message, and the resolver blocks on a private
 reply queue until the answer or the timeout arrives.  Concurrent
 resolutions of one address share a single pending entry, so the wire
-sees at most the retry count of requests no matter how many callers
-are waiting.
+sees at most MAX_REQUESTS requests no matter how many callers are
+waiting.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from types import MappingProxyType
 from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, ResolutionTimeout, Timeout, WireError
+
+MAX_REQUESTS = 3  # requests per resolution, counting the first
 
 
 class _Pending:
@@ -32,7 +34,7 @@ class _Pending:
 
 class ArpLayer:
     def __init__(self, eth, our_ip: bytes, counters: Counters, tasks: TaskSet,
-                 queue_capacity: int, timeout_ms: int = 1000, retries: int = 3,
+                 queue_capacity: int, timeout_ms: int = 1000,
                  cache_ttl_ms: int = 60000):
         self.eth = eth
         self.our_ip = our_ip
@@ -40,7 +42,6 @@ class ArpLayer:
         self.tasks = tasks
         self.inbound = MessageQueue(queue_capacity)
         self.timeout_s = timeout_ms / 1000.0
-        self.retries = retries
         self.cache_ttl_s = cache_ttl_ms / 1000.0
         self._cache = {}  # ip -> (mac, inserted_at), touched only by the dealer
         self._published = MappingProxyType({})  # read-only copy of _cache for resolvers
@@ -62,12 +63,12 @@ class ArpLayer:
         except Closed:
             raise ResolutionTimeout("resolver is shut down") from None
         try:
-            mac = reply_q.recv(timeout=(self.retries + 1) * self.timeout_s + 1.0)
+            mac = reply_q.recv(timeout=(MAX_REQUESTS + 1) * self.timeout_s + 1.0)
         except (Timeout, Closed):
             raise ResolutionTimeout(f"no answer for {addr.format_ip(ip)}") from None
         if mac is None:
             raise ResolutionTimeout(f"no answer for {addr.format_ip(ip)} "
-                                    f"after {self.retries} requests")
+                                    f"after {MAX_REQUESTS} requests")
         return mac
 
     def add_static(self, ip: bytes, mac: bytes) -> None:
@@ -150,7 +151,7 @@ class ArpLayer:
             pending = self._pending[ip]
             if pending.deadline > now:
                 continue
-            if pending.sends < self.retries:
+            if pending.sends < MAX_REQUESTS:
                 pending.sends += 1
                 pending.deadline = now + self.timeout_s
                 self._send_request(ip)

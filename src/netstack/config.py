@@ -18,7 +18,6 @@ class StackConfig:
     mtu: int = 1500
     queue_capacity: int = 256
     arp_timeout_ms: int = 1000
-    arp_retries: int = 3
     arp_cache_ttl_ms: int = 60000
     reassembly_timeout_ms: int = 30000
     tcp_rto_ms: int = 1000
@@ -31,8 +30,7 @@ class StackConfig:
     def validate(self) -> "StackConfig":
         if self.mtu < 576:
             raise ConfigError(f"mtu {self.mtu} below the 576-byte minimum")
-        for name in ("queue_capacity", "tcp_window_segments", "arp_retries",
-                     "tcp_backlog"):
+        for name in ("queue_capacity", "tcp_window_segments", "tcp_backlog"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("arp_timeout_ms", "reassembly_timeout_ms", "tcp_rto_ms",

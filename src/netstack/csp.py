@@ -119,18 +119,14 @@ class BindingRegistry:
         with self._lock:
             return self._map.get(key)
 
-    def dispatch(self, key, msg, block: bool = True) -> bool:
+    def dispatch(self, key, msg) -> bool:
         """Forward msg to the queue bound for key; unbound keys count a drop."""
         queue = self.lookup(key)
         if queue is None:
             self._counters.incr(f"{self.name}.drop.unbound")
             return False
         try:
-            if block:
-                queue.send(msg)
-            elif not queue.send_nowait(msg):
-                self._counters.incr(f"{self.name}.drop.full")
-                return False
+            queue.send(msg)
         except Closed:
             self._counters.incr(f"{self.name}.drop.closed")
             return False

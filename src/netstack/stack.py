@@ -37,7 +37,6 @@ class Stack:
                                  self.tasks, config.queue_capacity)
         self.arp = ArpLayer(self.eth, config.ip_bytes, self.counters, self.tasks,
                             config.queue_capacity, timeout_ms=config.arp_timeout_ms,
-                            retries=config.arp_retries,
                             cache_ttl_ms=config.arp_cache_ttl_ms)
         self.ipv4 = Ipv4Layer(self.eth, self.arp, config, self.counters, self.tasks)
         self.icmp = IcmpPing(self.ipv4, config, self.counters, self.tasks)

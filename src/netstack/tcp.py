@@ -1,5 +1,12 @@
 """TCP: listeners, connections, and one task per connection.
 
+Both opens go through ``Tcb.open``, which sends the SYN (``connect``) or
+the SYN-ACK (a listener's child) and spawns the task; the task
+deregisters the TCB on the turn that finds it CLOSED.  A listener owns
+its children until ``accept`` hands them out, the half-open ones in a
+set and the established ones in its accept queue, ``backlog`` in all.
+Closing it resets every child it still owns.
+
 Each connection's TCB is owned by a single task.  The TCP dealer hands
 it segments through a bounded inbox, and the application's send and
 close calls leave work in the TCB.  Each turn of the task waits once,
@@ -62,6 +69,7 @@ from netstack.errors import (
 _MASK = 0xFFFFFFFF
 _SEND_BUFFER_CAP = 262144
 _RETRANSMIT_LIMIT = 5  # transmissions counting the first; the 5th timeout resets
+_WINDOW = 65535  # the receive window every segment advertises
 
 
 def seq_add(a: int, n: int) -> int:
@@ -89,6 +97,9 @@ class TcbState(enum.Enum):
     TIME_WAIT = "TIME_WAIT"
 
 
+_SENDING = (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT)  # states that take new data
+
+
 class Tcb:
     def __init__(self, layer: "TcpLayer", local: tuple, remote: tuple,
                  listener: "Listener" = None):
@@ -104,7 +115,6 @@ class Tcb:
         self._work = threading.Condition(self._lock)  # the connection task
         self.state = TcbState.LISTEN if listener else TcbState.CLOSED
         self.history = [self.state]
-        self.iss = 0
         self.snd_una = 0
         self.snd_nxt = 0
         self.rcv_nxt = 0
@@ -113,11 +123,9 @@ class Tcb:
         self.ooo = {}  # seq -> payload, capped at window_segments entries
         self.ledger = deque()  # (end seq, segment bytes) in flight, oldest first
         self.fin_requested = False
-        self.fin_sent = False
-        self.fin_seq = None
+        self.fin_seq = None  # set when our FIN is cut
         self.remote_fin_done = False
-        self.error: Exception | None = None
-        self.done = False
+        self.error: Exception | None = None  # set only on entering CLOSED
         self._state_deadline = None  # TIME_WAIT's end, or SYN_RCVD's reap
         self._rtx_deadline = None  # runs while the ledger holds anything
         self._rto = layer.rto_s  # doubled by each timeout, reset by progress
@@ -140,7 +148,7 @@ class Tcb:
         seg = wire.TcpSegment(
             src_port=self.local[1], dst_port=self.remote[1],
             seq=seq, ack=self.rcv_nxt if with_ack else 0,
-            window=65535, flag_fin=fin, flag_syn=syn, flag_rst=rst,
+            window=_WINDOW, flag_fin=fin, flag_syn=syn, flag_rst=rst,
             flag_ack=with_ack, mss=mss, payload=payload,
         )
         return seg.encode(self.local[0], self.remote[0])
@@ -195,12 +203,12 @@ class Tcb:
                     if not (cut or finished):  # a cut segment carries rcv_nxt
                         self._pure_ack(out)
                 if finished:
-                    self.done = True
                     self.ledger.clear()
-                    self._cond.notify_all()
             for raw in out:
                 self._emit(raw)
             if finished:
+                if self.listener is not None:
+                    self.listener._release(self)
                 self.layer._deregister(self)
                 return
 
@@ -227,8 +235,6 @@ class Tcb:
             if self.state is TcbState.SYN_RCVD:
                 # the peer never completed the handshake; reap silently
                 self.layer.counters.incr("tcp.reap.half_open")
-                if self.listener is not None:
-                    self.listener._child_gone()
             self._enter(TcbState.CLOSED)
             return
         if self.state is TcbState.CLOSED or self._rtx_deadline is None \
@@ -260,7 +266,13 @@ class Tcb:
             return
 
         if seg.flag_rst:
-            self._handle_rst()
+            # RFC 9293 §3.10.7.4: only an RST inside the receive window counts
+            if not self._in_window(seg.seq):
+                self.layer.counters.incr("tcp.drop.rst_out_of_window")
+                return
+            if self.state is TcbState.SYN_RCVD:
+                self.layer.counters.incr("tcp.reap.rst_handshake")
+            self._reset_locked(ConnectionReset("reset by peer"))
             return
 
         if seg.flag_syn:
@@ -272,17 +284,18 @@ class Tcb:
             return
 
         if self.state is TcbState.SYN_RCVD:
-            if seg.ack == self.snd_nxt:
-                self._state_deadline = None
-                self._enter(TcbState.ESTABLISHED)
-                if self.listener is not None:
-                    self.listener._child_established(self)
-            else:
+            if seg.ack != self.snd_nxt:
+                return
+            self._state_deadline = None
+            self._enter(TcbState.ESTABLISHED)
+            if not self.listener._child_established(self):
+                out.append(self._segment(self.snd_nxt, rst=True))
+                self._reset_locked(ConnectionReset("listener closed"))
                 return
 
         self._process_ack(seg.ack, out)
 
-        if self.fin_sent and seq_le(seq_add(self.fin_seq, 1), self.snd_una):
+        if self.fin_seq is not None and seq_le(seq_add(self.fin_seq, 1), self.snd_una):
             if self.state is TcbState.FIN_WAIT_1:
                 if self.remote_fin_done:
                     self._enter_time_wait()
@@ -307,14 +320,6 @@ class Tcb:
             self._process_ack(seg.ack, out)
             self._enter(TcbState.ESTABLISHED)
             self._pure_ack(out)
-
-    def _handle_rst(self) -> None:
-        if self.state is TcbState.SYN_RCVD and self.listener is not None:
-            self.listener._child_gone()
-            self.layer.counters.incr("tcp.reap.rst_handshake")
-        else:
-            self.error = ConnectionReset("reset by peer")
-        self._enter(TcbState.CLOSED)
 
     def _process_ack(self, ack: int, out: list) -> None:
         if not (seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt)):
@@ -350,9 +355,7 @@ class Tcb:
                 self.rcv_nxt = end
                 self._drain_out_of_order()
                 self._cond.notify_all()
-            elif (seq_lt(self.rcv_nxt, seg.seq)
-                    and seq_lt(seg.seq, seq_add(self.rcv_nxt, 65535))
-                    and len(self.ooo) < self.window_segments):
+            elif self._in_window(seg.seq) and len(self.ooo) < self.window_segments:
                 self.ooo.setdefault(seg.seq, data)
             else:
                 self.layer.counters.incr("tcp.drop.out_of_window")
@@ -373,6 +376,9 @@ class Tcb:
                 self._cond.notify_all()
             self._ack_owed = True
 
+    def _in_window(self, seq: int) -> bool:
+        return seq_le(self.rcv_nxt, seq) and seq_lt(seq, seq_add(self.rcv_nxt, _WINDOW))
+
     def _drain_out_of_order(self) -> None:
         while self.rcv_nxt in self.ooo:
             chunk = self.ooo.pop(self.rcv_nxt)
@@ -384,23 +390,15 @@ class Tcb:
         self._enter(TcbState.TIME_WAIT)
 
     def _reset_locked(self, error: Exception) -> None:
-        """Close the TCB with error, telling the listener of a half-open child."""
-        if self.error is None:
-            self.error = error
-        if self.state is TcbState.SYN_RCVD and self.listener is not None:
-            self.listener._child_gone()
+        self.error = error
         self._enter(TcbState.CLOSED)
 
     # --- segmentation ---
 
     def _can_cut(self) -> bool:
-        if self.state not in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT):
-            return False
-        if len(self.ledger) >= self.window_segments:
-            return False
-        if self.send_buf:
-            return True
-        return self.fin_requested and not self.fin_sent
+        # cutting the FIN leaves _SENDING, so a requested FIN here is uncut
+        return (self.state in _SENDING and len(self.ledger) < self.window_segments
+                and (self.fin_requested or len(self.send_buf) > 0))
 
     def _cut_segment_locked(self) -> bytes:
         if self.send_buf:
@@ -414,7 +412,6 @@ class Tcb:
             return raw
         seq = self.snd_nxt
         self.snd_nxt = seq_add(seq, 1)
-        self.fin_sent = True
         self.fin_seq = seq
         raw = self._segment(seq, fin=True)
         self._register_inflight(self.snd_nxt, raw)
@@ -426,32 +423,29 @@ class Tcb:
 
     # --- lifecycle ---
 
-    def start_task(self) -> None:
-        """Spawn the connection task; a TCB found CLOSED by it is finished."""
+    def open(self, syn: wire.TcpSegment = None) -> None:
+        """Send a SYN, or the SYN-ACK that answers syn, and spawn the task.
+
+        The state and the handshake deadline are set before the task first
+        waits.  A child its closing listener already reset sends nothing.
+        """
+        iss = self.layer.pick_isn()
+        with self._lock:
+            if syn is None:
+                self._enter(TcbState.SYN_SENT)
+            elif self.state is TcbState.LISTEN:
+                self.rcv_nxt = seq_add(syn.seq, 1)
+                self._state_deadline = time.monotonic() + self.layer.handshake_timeout_s
+                self._enter(TcbState.SYN_RCVD)
+            raw = None
+            if self.state is not TcbState.CLOSED:
+                self.snd_una = iss
+                self.snd_nxt = seq_add(iss, 1)
+                raw = self._segment(iss, syn=True, with_ack=syn is not None, mss=self.mss)
+                self._register_inflight(self.snd_nxt, raw)
+        if raw is not None:
+            self._emit(raw)
         self.layer.tasks.spawn(f"tcp-conn-{self.local[1]}", self.run)
-
-    def start_connect(self) -> None:
-        with self._lock:
-            self.iss = self.layer.pick_isn()
-            self.snd_una = self.iss
-            self.snd_nxt = seq_add(self.iss, 1)
-            raw = self._segment(self.iss, syn=True, with_ack=False, mss=self.mss)
-            self._register_inflight(self.snd_nxt, raw)
-            self._enter(TcbState.SYN_SENT)
-        self._emit(raw)
-
-    def start_accept(self, seg: wire.TcpSegment) -> None:
-        """Take a listener's SYN: enter SYN_RCVD and answer with SYN-ACK."""
-        with self._lock:
-            self.rcv_nxt = seq_add(seg.seq, 1)
-            self.iss = self.layer.pick_isn()
-            self.snd_una = self.iss
-            self.snd_nxt = seq_add(self.iss, 1)
-            self._state_deadline = time.monotonic() + self.layer.handshake_timeout_s
-            raw = self._segment(self.iss, syn=True, mss=self.mss)
-            self._register_inflight(self.snd_nxt, raw)
-            self._enter(TcbState.SYN_RCVD)
-        self._emit(raw)
 
     def force_reset(self, error: Exception) -> None:
         """Abort from any task: close the TCB without telling the peer."""
@@ -468,15 +462,11 @@ class Tcb:
         while view:
             with self._cond:
                 ok = self._cond.wait_for(
-                    lambda: self.done or self.error is not None
-                    or self.fin_requested
-                    or (self.state in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT)
-                        and len(self.send_buf) < _SEND_BUFFER_CAP),
+                    lambda: not self._sendable() or len(self.send_buf) < _SEND_BUFFER_CAP,
                     timeout)
                 if not ok:
                     raise Timeout("send buffer stayed full")
-                if self.done or self.error is not None or self.fin_requested \
-                        or self.state not in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT):
+                if not self._sendable():
                     raise ConnectionClosed("connection is not open for sending")
                 room = _SEND_BUFFER_CAP - len(self.send_buf)
                 take = min(room, len(view))
@@ -484,13 +474,16 @@ class Tcb:
                 view = view[take:]
                 self._work.notify()
 
+    def _sendable(self) -> bool:
+        return not self.fin_requested and self.state in _SENDING
+
     def recv(self, max_bytes: int, timeout: float = None) -> bytes:
         if max_bytes < 1:
             return b""
         with self._cond:
             ok = self._cond.wait_for(
                 lambda: self.recv_buf or self.remote_fin_done
-                or self.error is not None or self.done,
+                or self.state is TcbState.CLOSED,
                 timeout)
             if not ok:
                 raise Timeout("nothing received within timeout")
@@ -505,17 +498,12 @@ class Tcb:
             raise ConnectionReset("connection went away")
 
     def close(self) -> None:
+        """Queue our FIN; a Connection's TCB is never in a handshake state."""
         with self._cond:
-            if self.done or self.fin_requested:
-                return
-            if self.state in (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT):
+            if self.state in _SENDING:
                 self.fin_requested = True
                 self._cond.notify_all()  # wakes send() calls blocked on room
                 self._work.notify()
-                return
-            abort = self.state in (TcbState.SYN_SENT, TcbState.SYN_RCVD, TcbState.LISTEN)
-        if abort:
-            self.force_reset(ConnectionClosed("closed during handshake"))
 
     # --- introspection, mostly for tests and benchmarks ---
 
@@ -583,37 +571,49 @@ class Listener:
         self.backlog = backlog
         self.accept_q = MessageQueue(backlog)
         self._lock = threading.Lock()
-        self._half_open = 0
+        self._half_open = set()  # children in SYN_RCVD
         self._closed = False
 
-    def _try_reserve(self) -> bool:
+    def _adopt(self, tcb: Tcb) -> bool:
+        """Take a new child unless the half-open and queued fill the backlog."""
         with self._lock:
-            if self._closed or self._half_open + len(self.accept_q) >= self.backlog:
+            if self._closed or len(self._half_open) + len(self.accept_q) >= self.backlog:
                 return False
-            self._half_open += 1
+            self._half_open.add(tcb)
             return True
 
-    def _child_gone(self) -> None:
+    def _child_established(self, tcb: Tcb) -> bool:
+        """Queue the child in the slot _adopt reserved; False once closed."""
         with self._lock:
-            self._half_open = max(0, self._half_open - 1)
+            self._half_open.discard(tcb)
+            return not self._closed and self.accept_q.send_nowait(Connection(tcb))
 
-    def _child_established(self, tcb: Tcb) -> None:
-        self._child_gone()
-        try:
-            if not self.accept_q.send_nowait(Connection(tcb)):
-                # tcb's lock is already held: this runs inside its _handle
-                tcb._reset_locked(ConnectionReset("accept backlog overflow"))
-        except Closed:
-            pass  # listener shut down while the handshake finished
+    def _release(self, tcb: Tcb) -> None:
+        """The child's task has ended; a half-open one frees its slot."""
+        with self._lock:
+            self._half_open.discard(tcb)
 
     def accept(self, timeout: float = None) -> Connection:
         return self.accept_q.recv(timeout)
 
     def close(self) -> None:
+        """Refuse new connections and reset every child not yet accepted.
+
+        The resets run without the listener's lock, which
+        _child_established takes while holding a child's lock.
+        """
         with self._lock:
             self._closed = True
-        self.layer._remove_listener(self.port)
+            children = list(self._half_open)
+        self.layer._remove_listener(self)
         self.accept_q.close()
+        while True:
+            try:
+                children.append(self.accept_q.recv().tcb)
+            except Closed:
+                break
+        for tcb in children:
+            tcb.force_reset(ConnectionReset("listener closed"))
 
 
 class TcpLayer:
@@ -647,6 +647,7 @@ class TcpLayer:
     # --- public API ---
 
     def listen(self, port: int, backlog: int = None) -> Listener:
+        port = addr.as_port(port)
         with self._lock:
             if self._port_taken(port):
                 raise AlreadyBound(f"tcp port {port}")
@@ -656,20 +657,17 @@ class TcpLayer:
 
     def connect(self, dst_ip, dst_port: int, timeout: float = 10.0) -> Connection:
         dst_ip = addr.as_ip(dst_ip)
+        dst_port = addr.as_port(dst_port)
         with self._lock:
             local_port = addr.pick_ephemeral(self._next_ephemeral, self._port_taken, "tcp")
             self._next_ephemeral = local_port + 1
             tcb = Tcb(self, local=(self.our_ip, local_port),
                       remote=(dst_ip, dst_port))
             self._connections[tcb.key] = tcb
-        # leave CLOSED before the task starts, which would take CLOSED as done
-        tcb.start_connect()
-        tcb.start_task()
+        tcb.open()
         with tcb._cond:
-            tcb._cond.wait_for(
-                lambda: tcb.state is TcbState.ESTABLISHED or tcb.done
-                or tcb.error is not None, timeout)
-            if tcb.state is TcbState.ESTABLISHED:
+            tcb._cond.wait_for(lambda: tcb.state is not TcbState.SYN_SENT, timeout)
+            if tcb.state not in (TcbState.SYN_SENT, TcbState.CLOSED):
                 return Connection(tcb)
             error = tcb.error
         tcb.force_reset(ConnectionClosed("connect aborted"))
@@ -707,17 +705,14 @@ class TcpLayer:
 
     def _new_server_tcb(self, listener: Listener, peer_ip: bytes,
                         seg: wire.TcpSegment) -> None:
-        if not listener._try_reserve():
-            self.counters.incr("tcp.drop.backlog_full")
-            return
         tcb = Tcb(self, local=(self.our_ip, listener.port),
                   remote=(peer_ip, seg.src_port), listener=listener)
+        if not listener._adopt(tcb):
+            self.counters.incr("tcp.drop.backlog_full")
+            return
         with self._lock:
             self._connections[tcb.key] = tcb
-        # arm the handshake deadline before the connection task first waits,
-        # or a silent peer would park it forever
-        tcb.start_accept(seg)
-        tcb.start_task()
+        tcb.open(seg)
 
     def _refuse(self, peer_ip: bytes, seg: wire.TcpSegment) -> None:
         self.counters.incr("tcp.rst.no_listener")
@@ -737,9 +732,10 @@ class TcpLayer:
     def _port_taken(self, port: int) -> bool:
         return port in self._listeners or any(key[0] == port for key in self._connections)
 
-    def _remove_listener(self, port: int) -> None:
-        with self._lock:
-            self._listeners.pop(port, None)
+    def _remove_listener(self, listener: Listener) -> None:
+        with self._lock:  # a second close() must not remove a newer listener
+            if self._listeners.get(listener.port) is listener:
+                del self._listeners[listener.port]
 
     def _deregister(self, tcb: Tcb) -> None:
         with self._lock:

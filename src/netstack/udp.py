@@ -24,7 +24,7 @@ class UdpSocket:
         if len(payload) > 65507:
             raise LengthError(f"udp payload of {len(payload)} bytes exceeds 65507")
         dst = addr.as_ip(dst_ip)
-        datagram = wire.UdpDatagram(src_port=self.port, dst_port=dst_port,
+        datagram = wire.UdpDatagram(src_port=self.port, dst_port=addr.as_port(dst_port),
                                     payload=bytes(payload))
         self._layer.ipv4.send(dst, wire.PROTO_UDP,
                               datagram.encode(self._layer.our_ip, dst))
@@ -55,6 +55,7 @@ class UdpLayer:
         self.tasks.spawn("udp-dealer", self._dealer_loop)
 
     def bind(self, port: int = 0) -> UdpSocket:
+        port = addr.as_port(port)
         with self._lock:
             if port == 0:
                 port = addr.pick_ephemeral(self._next_ephemeral,

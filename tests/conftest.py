@@ -159,3 +159,17 @@ class ScriptedPeer:
                                    ethertype=wire.ETHERTYPE_IPV4,
                                    payload=packet.encode())
         self.device.write_frame(frame.encode())
+
+    def handshake(self, dst_ip: bytes, dst_mac: bytes, src_port: int, dst_port: int,
+                  seq: int, complete: bool = True) -> int:
+        """Send a SYN from seq and await the SYN-ACK; ACK it if complete.
+
+        Returns the stack's next sequence number, the ack the peer sends."""
+        self.send_tcp(dst_ip, dst_mac, src_port=src_port, dst_port=dst_port,
+                      seq=seq, ack=0, flag_syn=True)
+        synack = self.expect_tcp(lambda g: g.flag_syn and g.flag_ack)
+        their_next = (synack.seq + 1) % 2**32
+        if complete:
+            self.send_tcp(dst_ip, dst_mac, src_port=src_port, dst_port=dst_port,
+                          seq=(seq + 1) % 2**32, ack=their_next, flag_ack=True)
+        return their_next

@@ -36,3 +36,14 @@ def test_ephemeral_pick_skips_taken_ports_and_wraps():
 def test_ephemeral_pick_raises_when_every_port_is_taken():
     with pytest.raises(errors.PortsExhausted, match="no ephemeral tcp ports left"):
         addr.pick_ephemeral(49152, lambda port: True, "tcp")
+
+
+def test_port_range():
+    assert addr.as_port(0) == 0
+    assert addr.as_port(65535) == 65535
+
+
+@pytest.mark.parametrize("bad", [-1, 65536, 70000, "80", 80.0, None])
+def test_bad_port_rejected(bad):
+    with pytest.raises(errors.ConfigError):
+        addr.as_port(bad)

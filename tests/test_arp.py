@@ -9,6 +9,7 @@ import pytest
 from conftest import wait_until
 
 from netstack import addr, errors, link, stack, wire
+from netstack.arp import MAX_REQUESTS
 from netstack.config import StackConfig
 
 
@@ -104,7 +105,7 @@ def test_concurrent_resolvers_share_one_request_flight(rig):
     for t in threads:
         t.join(3.0)
     assert results == [b.eth.mac] * 5
-    assert a.counters.get("arp.tx.request") <= a.config.arp_retries
+    assert a.counters.get("arp.tx.request") <= MAX_REQUESTS
 
 
 def test_request_for_other_ip_gets_no_reply(rig):

@@ -1,6 +1,7 @@
 """Connection lifecycle, reliable transfer, and the state machine."""
 
 import random
+import sys
 import threading
 import time
 
@@ -631,3 +632,144 @@ def test_retransmitted_fin_restarts_time_wait(solo):
     time.sleep(max(0.0, entered + 1.2 - time.monotonic()))
     assert conn.state is TcbState.TIME_WAIT  # past the first 1 s deadline
     assert wait_until(lambda: conn.state is TcbState.CLOSED, timeout=3.0)
+
+
+def test_listener_close_resets_connections_never_accepted(rig):
+    a, b = rig()
+    listener = b.tcp.listen(7017)
+    client = a.tcp.connect(B_IP, 7017)
+    assert wait_until(lambda: len(listener.accept_q) == 1)
+    listener.close()
+    assert wait_until(lambda: b.tcp.connection_count() == 0, timeout=3.0)
+    assert wait_until(lambda: b.tasks.census("tcp-conn") == 0, timeout=3.0)
+    b.tcp.listen(7017)  # the port is free again
+    client.send(b"anyone there?")  # answered by an RST
+    with pytest.raises(errors.ConnectionReset):
+        client.recv(timeout=3.0)
+    assert wait_until(lambda: a.tcp.connection_count() == 0, timeout=3.0)
+
+
+def test_listener_close_resets_a_half_open_child(solo):
+    s, far_end = solo(tcp_handshake_timeout_ms=10000)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    listener = s.tcp.listen(7112)
+    peer.announce(A_IP)
+    their_next = peer.handshake(A_IP, A_MAC, 6005, 7112, seq=1000, complete=False)
+    listener.close()
+    assert wait_until(lambda: s.tcp.connection_count() == 0)
+    assert wait_until(lambda: s.tasks.census("tcp-conn") == 0)
+    peer.send_tcp(A_IP, A_MAC, src_port=6005, dst_port=7112,
+                  seq=1001, ack=their_next, flag_ack=True)
+    rst = peer.expect_tcp(lambda g: g.flag_rst)
+    assert rst.seq == their_next
+    assert s.tcp.connection_count() == 0
+    assert s.counters.get("tcp.reap.half_open") == 0
+
+
+def test_listener_close_leaves_accepted_connections_alone(rig):
+    a, b = rig()
+    listener = b.tcp.listen(7018)
+    client = a.tcp.connect(B_IP, 7018)
+    server = listener.accept(timeout=2.0)
+    listener.close()
+    client.send(b"still open?")
+    assert server.recv(timeout=2.0) == b"still open?"
+    server.send(b"yes")
+    assert client.recv(timeout=2.0) == b"yes"
+    assert server.state is TcbState.ESTABLISHED
+    assert b.tcp.connection_count() == 1
+
+
+def test_rst_outside_the_receive_window_is_dropped(solo):
+    s, far_end = solo()
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    listener = s.tcp.listen(7113)
+    peer.announce(A_IP)
+    their_next = peer.handshake(A_IP, A_MAC, 6006, 7113, seq=2000)
+    conn = listener.accept(timeout=2.0)
+    for seq in (2001 + 1_000_000, 2001 + 65535, 2000):  # far, just past, just before
+        peer.send_tcp(A_IP, A_MAC, src_port=6006, dst_port=7113,
+                      seq=seq, ack=their_next, flag_rst=True, flag_ack=True)
+    assert wait_until(lambda: s.counters.get("tcp.drop.rst_out_of_window") == 3)
+    assert conn.state is TcbState.ESTABLISHED
+    conn.send(b"still here")
+    assert peer.expect_tcp(_data).payload == b"still here"
+    # inside the window, if not at rcv_nxt itself, an RST still resets
+    peer.send_tcp(A_IP, A_MAC, src_port=6006, dst_port=7113,
+                  seq=2001 + 65534, ack=their_next, flag_rst=True, flag_ack=True)
+    with pytest.raises(errors.ConnectionReset):
+        conn.recv(timeout=2.0)
+    assert wait_until(lambda: s.tcp.connection_count() == 0)
+
+
+def test_out_of_range_ports_are_refused_before_registering(rig):
+    a, b = rig()
+    with pytest.raises(errors.ConfigError):
+        b.tcp.listen(70000)
+    with pytest.raises(errors.ConfigError):
+        a.tcp.connect(B_IP, 70000, timeout=1.0)
+    assert a.tcp.connection_count() == 0
+    assert a.tasks.census("tcp-conn") == 0
+
+
+def test_listener_close_racing_handshakes_leaves_no_child(rig):
+    """Handshakes finish while the listener closes; whichever side wins,
+    no child outlives the close."""
+    a, b = rig()
+    listener = b.tcp.listen(7019, backlog=4)
+
+    def connect():
+        try:
+            a.tcp.connect(B_IP, 7019, timeout=3.0)
+        except errors.NetstackError:
+            pass  # refused once the listener is gone, or timed out
+
+    threads = [threading.Thread(target=connect) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(0.02)
+        listener.close()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wait_until(lambda: b.tcp.connection_count() == 0, timeout=5.0)
+    assert wait_until(lambda: b.tasks.census("tcp-conn") == 0, timeout=5.0)
+    b.tcp.listen(7019)
+
+
+def test_handshake_completing_as_the_listener_closes_is_reset(solo):
+    s, far_end = solo(tcp_handshake_timeout_ms=10000)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    listener = s.tcp.listen(7114)
+    peer.announce(A_IP)
+    their_next = peer.handshake(A_IP, A_MAC, 6007, 7114, seq=3000, complete=False)
+    [child] = s.tcp.connections()
+    closer = threading.Thread(target=listener.close)
+    out = []
+    with child._lock:  # close() marks the listener closed, then waits for this
+        closer.start()
+        assert wait_until(lambda: listener.accept_q._closed)
+        # the ACK's turn runs before close() can reset the child
+        child._handle(wire.TcpSegment(src_port=6007, dst_port=7114, seq=3001,
+                                      ack=their_next, flag_ack=True), out)
+    closer.join(timeout=2.0)
+    assert not closer.is_alive()
+    [rst] = [wire.decode("tcp", raw) for raw in out]
+    assert rst.flag_rst and rst.seq == their_next
+    assert child.snapshot_history()[-1] is TcbState.CLOSED
+    assert wait_until(lambda: s.tcp.connection_count() == 0)
+
+
+def test_closing_a_listener_twice_leaves_its_successor_listening(rig):
+    a, b = rig()
+    old = b.tcp.listen(7020)
+    old.close()
+    new = b.tcp.listen(7020)
+    old.close()
+    a.tcp.connect(B_IP, 7020, timeout=3.0)
+    assert new.accept(timeout=2.0).state is TcbState.ESTABLISHED

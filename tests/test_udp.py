@@ -155,3 +155,13 @@ def test_corrupt_checksum_dropped(rig):
     assert wait_until(lambda: a.counters.get("udp.drop.decode") == 1)
     with pytest.raises(errors.Timeout):
         server.recv_from(timeout=0.2)
+
+
+def test_out_of_range_ports_are_refused(rig):
+    a, _b = rig()
+    with pytest.raises(errors.ConfigError):
+        a.udp.bind(70000)
+    assert a.udp.bound_ports() == []
+    sock = a.udp.bind(0)
+    with pytest.raises(errors.ConfigError):
+        sock.send_to(B_IP, 70000, b"x")
