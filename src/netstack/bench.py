@@ -40,6 +40,9 @@ class ThroughputRecord:
     bytes_per_client: int
     wall_time_s: float
     throughput_mbit_s: float
+    # both stacks' non-zero *.drop.* counters and tcp.retransmit, read
+    # before down(); a diagnostic, so it stays out of the CSV
+    counters: dict = field(default_factory=dict, metadata={"csv": False})
 
 
 def _stack_pair(profile, a_over: dict = None, b_over: dict = None):
@@ -121,13 +124,12 @@ def bench_throughput(levels, bytes_per_client: int = 4096,
         raise ValueError("bytes_per_client must be at least 4")
     records = []
     for level in levels:
-        over = {"tcp_window_segments": window_segments,
-                "tcp_backlog": max(16, 2 * level)}
+        over = {"tcp_window_segments": window_segments}
         profile = link.ImpairmentProfile(delay=delay, seed=seed)
         a, b = _stack_pair(profile, a_over=dict(over), b_over=dict(over))
         try:
             a.ping(B_IP, count=1, interval=0.0, timeout=2.0)
-            listener = b.tcp.listen(9000)
+            listener = b.tcp.listen(9000, backlog=max(16, 2 * level))
             finish_times = [None] * level
             failures = []
 
@@ -183,7 +185,8 @@ def bench_throughput(levels, bytes_per_client: int = 4096,
         total_bits = 8 * bytes_per_client * level
         record = ThroughputRecord(
             clients=level, bytes_per_client=bytes_per_client,
-            wall_time_s=wall, throughput_mbit_s=total_bits / wall / 1e6)
+            wall_time_s=wall, throughput_mbit_s=total_bits / wall / 1e6,
+            counters=counters)
         records.append(record)
         if on_record:
             on_record(record)

@@ -24,13 +24,12 @@ class StackConfig:
     tcp_window_segments: int = 32
     tcp_time_wait_ms: int = 10000
     tcp_handshake_timeout_ms: int = 5000
-    tcp_backlog: int = 16
     isn_seed: int | None = None  # fixed value makes connection setup reproducible
 
     def validate(self) -> "StackConfig":
         if self.mtu < 576:
             raise ConfigError(f"mtu {self.mtu} below the 576-byte minimum")
-        for name in ("queue_capacity", "tcp_window_segments", "tcp_backlog"):
+        for name in ("queue_capacity", "tcp_window_segments"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("arp_timeout_ms", "reassembly_timeout_ms", "tcp_rto_ms",

@@ -1,8 +1,10 @@
 """The message-passing scaffolding every layer is built from.
 
 Tasks are plain threads that share nothing and talk over MessageQueue
-instances.  A BindingRegistry maps demux keys (ethertype, IP protocol,
-port, connection 4-tuple) to queues.
+instances.  A BindingRegistry maps a demux key (an ethertype or an IP
+protocol number) to a queue.  The transports demux on their own: UDP
+keeps its sockets by port in ``_ports``, and TCP keeps its connections
+by (local port, remote address, remote port) in ``_connections``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,17 @@ its children until ``accept`` hands them out, the half-open ones in a
 set and the established ones in its accept queue, ``backlog`` in all.
 Closing it resets every child it still owns.
 
+Every local reset is RFC 9293's ABORT (§3.10.5), ``Tcb._abort_locked``:
+from SYN_RCVD, ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2 or CLOSE_WAIT it sends
+an RST at ``snd_nxt``; from any other state it sends nothing.  The
+retransmission limit, a handshake that completes after its listener
+closed, ``Listener.close``, a ``connect`` that gives up and the stack's
+shutdown all take it.  A CLOSED TCB stays registered until its task's
+last turn, and a segment that reaches it meanwhile is answered as if it
+had found no TCB (§3.10.7.1): the dealer refuses it with an RST, counted
+as ``tcp.rst.no_listener`` like every refusal, or a SYN to a listening
+port opens a new child.
+
 Each connection's TCB is owned by a single task.  The TCP dealer hands
 it segments through a bounded inbox, and the application's send and
 close calls leave work in the TCB.  Each turn of the task waits once,
@@ -98,6 +109,9 @@ class TcbState(enum.Enum):
 
 
 _SENDING = (TcbState.ESTABLISHED, TcbState.CLOSE_WAIT)  # states that take new data
+# the states from which ABORT sends an RST (RFC 9293 §3.10.5)
+_SYNCHRONIZED = (TcbState.SYN_RCVD, TcbState.ESTABLISHED, TcbState.FIN_WAIT_1,
+                 TcbState.FIN_WAIT_2, TcbState.CLOSE_WAIT)
 
 
 class Tcb:
@@ -171,18 +185,21 @@ class Tcb:
 
     # --- the connection task ---
 
-    def deliver(self, seg: wire.TcpSegment) -> None:
-        """Queue a segment from the TCP dealer for the connection task."""
+    def deliver(self, seg: wire.TcpSegment) -> bool:
+        """Queue a segment from the TCP dealer for the connection task.
+
+        False if the TCB is CLOSED: the dealer then answers the segment as
+        one that found no connection.
+        """
         with self._lock:
             if self.state is TcbState.CLOSED:
-                drop = "tcp.drop.closing"
-            elif len(self._inbox) >= self.layer.queue_capacity:
-                drop = "tcp.drop.inbox_full"
-            else:
+                return False
+            if len(self._inbox) < self.layer.queue_capacity:
                 self._inbox.append(seg)
                 self._work.notify()
-                return
-        self.layer.counters.incr(drop)
+                return True
+        self.layer.counters.incr("tcp.drop.inbox_full")
+        return True
 
     def run(self) -> None:
         """Own the TCB until it closes: one wait, then one batch per turn."""
@@ -243,8 +260,7 @@ class Tcb:
         self._timeouts += 1
         if self._timeouts >= _RETRANSMIT_LIMIT:
             self.layer.counters.incr("tcp.reset.retransmit_limit")
-            out.append(self._segment(self.snd_nxt, rst=True))
-            self._reset_locked(ConnectionReset("retransmission limit reached"))
+            self._abort_locked(ConnectionReset("retransmission limit reached"), out)
             return
         self._resend_oldest(out)
         self._rto *= 2
@@ -276,8 +292,12 @@ class Tcb:
             return
 
         if seg.flag_syn:
-            # duplicate SYN on an existing connection: repeat our ACK
-            self._pure_ack(out)
+            # a duplicate SYN: in SYN_RCVD our SYN-ACK may be lost, so resend
+            # it, as Linux's tcp_check_req does; later, repeat our ACK
+            if self.state is TcbState.SYN_RCVD:
+                self._resend_oldest(out)
+            else:
+                self._pure_ack(out)
             return
 
         if not seg.flag_ack:
@@ -289,8 +309,7 @@ class Tcb:
             self._state_deadline = None
             self._enter(TcbState.ESTABLISHED)
             if not self.listener._child_established(self):
-                out.append(self._segment(self.snd_nxt, rst=True))
-                self._reset_locked(ConnectionReset("listener closed"))
+                self._abort_locked(ConnectionReset("listener closed"), out)
                 return
 
         self._process_ack(seg.ack, out)
@@ -311,9 +330,8 @@ class Tcb:
     def _handle_syn_sent(self, seg: wire.TcpSegment, out: list) -> None:
         if seg.flag_rst:
             if seg.flag_ack and seg.ack == self.snd_nxt:
-                self.error = ConnectionRefused(
-                    f"{addr.format_ip(self.remote[0])}:{self.remote[1]} refused")
-                self._enter(TcbState.CLOSED)
+                self._reset_locked(ConnectionRefused(
+                    f"{addr.format_ip(self.remote[0])}:{self.remote[1]} refused"))
             return
         if seg.flag_syn and seg.flag_ack and seg.ack == self.snd_nxt:
             self.rcv_nxt = seq_add(seg.seq, 1)
@@ -393,6 +411,14 @@ class Tcb:
         self.error = error
         self._enter(TcbState.CLOSED)
 
+    def _abort_locked(self, error: Exception, out: list) -> None:
+        """RFC 9293 §3.10.5's ABORT: an RST from a synchronized state, then
+        CLOSED.  SYN_SENT, LAST_ACK, TIME_WAIT and a child not yet opened
+        send nothing."""
+        if self.state in _SYNCHRONIZED:
+            out.append(self._segment(self.snd_nxt, rst=True))
+        self._reset_locked(error)
+
     # --- segmentation ---
 
     def _can_cut(self) -> bool:
@@ -447,13 +473,16 @@ class Tcb:
             self._emit(raw)
         self.layer.tasks.spawn(f"tcp-conn-{self.local[1]}", self.run)
 
-    def force_reset(self, error: Exception) -> None:
-        """Abort from any task: close the TCB without telling the peer."""
+    def abort(self, error: Exception) -> None:
+        """ABORT from any task; the RST, if any, leaves outside the lock."""
+        out = []
         with self._lock:
             if self.state is TcbState.CLOSED:
                 return
-            self._reset_locked(error)
+            self._abort_locked(error, out)
             self._work.notify()  # the connection task completes the cleanup
+        for raw in out:
+            self._emit(raw)
 
     # --- the application-facing calls ---
 
@@ -613,7 +642,7 @@ class Listener:
             except Closed:
                 break
         for tcb in children:
-            tcb.force_reset(ConnectionReset("listener closed"))
+            tcb.abort(ConnectionReset("listener closed"))
 
 
 class TcpLayer:
@@ -628,7 +657,6 @@ class TcpLayer:
         self.rto_s = config.tcp_rto_ms / 1000.0
         self.time_wait_s = config.tcp_time_wait_ms / 1000.0
         self.handshake_timeout_s = config.tcp_handshake_timeout_ms / 1000.0
-        self.default_backlog = config.tcp_backlog
         self.inbound = MessageQueue(config.queue_capacity)
         self._lock = threading.Lock()
         self._connections = {}  # (local port, remote ip, remote port) -> Tcb
@@ -646,12 +674,12 @@ class TcpLayer:
 
     # --- public API ---
 
-    def listen(self, port: int, backlog: int = None) -> Listener:
+    def listen(self, port: int, backlog: int = 16) -> Listener:
         port = addr.as_port(port)
         with self._lock:
             if self._port_taken(port):
                 raise AlreadyBound(f"tcp port {port}")
-            listener = Listener(self, port, backlog or self.default_backlog)
+            listener = Listener(self, port, backlog)
             self._listeners[port] = listener
             return listener
 
@@ -670,7 +698,7 @@ class TcpLayer:
             if tcb.state not in (TcbState.SYN_SENT, TcbState.CLOSED):
                 return Connection(tcb)
             error = tcb.error
-        tcb.force_reset(ConnectionClosed("connect aborted"))
+        tcb.abort(ConnectionClosed("connect aborted"))
         if error is not None:
             raise error
         raise Timeout(f"no answer from {addr.format_ip(dst_ip)}:{dst_port}")
@@ -693,8 +721,7 @@ class TcpLayer:
             with self._lock:
                 tcb = self._connections.get(key)
                 listener = self._listeners.get(seg.dst_port)
-            if tcb is not None:
-                tcb.deliver(seg)
+            if tcb is not None and tcb.deliver(seg):
                 continue
             if listener is not None and seg.flag_syn and not seg.flag_ack \
                     and not seg.flag_rst:
@@ -752,11 +779,11 @@ class TcpLayer:
             return list(self._connections.values())
 
     def shutdown(self) -> None:
-        """Force every connection down; used by stack teardown."""
+        """Abort every connection; used by stack teardown."""
         with self._lock:
             listeners = list(self._listeners.values())
             tcbs = list(self._connections.values())
         for listener in listeners:
             listener.close()
         for tcb in tcbs:
-            tcb.force_reset(ConnectionClosed("stack shut down"))
+            tcb.abort(ConnectionClosed("stack shut down"))

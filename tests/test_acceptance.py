@@ -393,11 +393,13 @@ def test_criterion_09_throughput_scales_with_clients():
     base = records[0].throughput_mbit_s
     top = records[-1].throughput_mbit_s
     assert top >= 5.0 * base, \
-        f"throughput went {base:.2f} -> {top:.2f} Mbit/s (under 5x)"
+        (f"throughput went {base:.2f} -> {top:.2f} Mbit/s (under 5x); "
+         f"counters {records[0].counters} -> {records[-1].counters}")
     for prev, cur in zip(records, records[1:]):
         assert cur.throughput_mbit_s >= 0.8 * prev.throughput_mbit_s, \
             (f"{prev.clients} -> {cur.clients} clients regressed "
-             f"{prev.throughput_mbit_s:.2f} -> {cur.throughput_mbit_s:.2f}")
+             f"{prev.throughput_mbit_s:.2f} -> {cur.throughput_mbit_s:.2f}; "
+             f"counters {prev.counters} -> {cur.counters}")
     assert elapsed < 300.0, f"throughput sweep took {elapsed:.1f}s"
 
 

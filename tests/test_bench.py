@@ -77,6 +77,7 @@ def test_throughput_small_levels(tmp_path):
     for r in records:
         assert r.wall_time_s > 0
         assert math.isfinite(r.throughput_mbit_s) and r.throughput_mbit_s > 0
+        assert {"a:tcp.retransmit", "b:tcp.retransmit"} <= r.counters.keys()
     out = tmp_path / "tput.csv"
     bench.write_csv(records, str(out))
     with open(out) as fh:

@@ -643,9 +643,8 @@ def test_listener_close_resets_connections_never_accepted(rig):
     assert wait_until(lambda: b.tcp.connection_count() == 0, timeout=3.0)
     assert wait_until(lambda: b.tasks.census("tcp-conn") == 0, timeout=3.0)
     b.tcp.listen(7017)  # the port is free again
-    client.send(b"anyone there?")  # answered by an RST
-    with pytest.raises(errors.ConnectionReset):
-        client.recv(timeout=3.0)
+    with pytest.raises(errors.ConnectionReset):  # close() sent an RST
+        client.recv(timeout=1.0)
     assert wait_until(lambda: a.tcp.connection_count() == 0, timeout=3.0)
 
 
@@ -656,11 +655,13 @@ def test_listener_close_resets_a_half_open_child(solo):
     peer.announce(A_IP)
     their_next = peer.handshake(A_IP, A_MAC, 6005, 7112, seq=1000, complete=False)
     listener.close()
+    rst = peer.expect_tcp(lambda g: g.flag_rst)  # ABORT from SYN_RCVD
+    assert rst.seq == their_next and rst.ack == 1001
     assert wait_until(lambda: s.tcp.connection_count() == 0)
     assert wait_until(lambda: s.tasks.census("tcp-conn") == 0)
     peer.send_tcp(A_IP, A_MAC, src_port=6005, dst_port=7112,
                   seq=1001, ack=their_next, flag_ack=True)
-    rst = peer.expect_tcp(lambda g: g.flag_rst)
+    rst = peer.expect_tcp(lambda g: g.flag_rst)  # no connection any more
     assert rst.seq == their_next
     assert s.tcp.connection_count() == 0
     assert s.counters.get("tcp.reap.half_open") == 0
@@ -773,3 +774,46 @@ def test_closing_a_listener_twice_leaves_its_successor_listening(rig):
     old.close()
     a.tcp.connect(B_IP, 7020, timeout=3.0)
     assert new.accept(timeout=2.0).state is TcbState.ESTABLISHED
+
+
+def test_segment_for_a_closed_tcb_is_answered_like_a_missing_one(solo):
+    s, peer, conn, _ack = _scripted_connection(solo, 7115)
+    tcb = conn.tcb
+    assert wait_until(lambda: tcb.ledger_size() == 0)  # no timer to wake the task
+    with tcb._lock:  # CLOSED, but its task has not yet deregistered it
+        tcb._reset_locked(errors.ConnectionReset("reset for the test"))
+    their_next = tcb.snd_nxt
+    peer.send_tcp(A_IP, A_MAC, src_port=6004, dst_port=7115, seq=801,
+                  ack=their_next, flag_ack=True, payload=b"anyone there?")
+    rst = peer.expect_tcp(lambda g: g.flag_rst, timeout=1.0)
+    assert rst.seq == their_next
+    assert s.counters.get("tcp.rst.no_listener") == 1
+    assert s.tcp.connection_count() == 1
+    with tcb._lock:
+        tcb._work.notify()
+    assert wait_until(lambda: s.tcp.connection_count() == 0)
+
+
+def test_connect_giving_up_in_syn_sent_sends_no_rst(solo):
+    s, far_end = solo(tcp_rto_ms=100)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    peer.announce(A_IP)
+    with pytest.raises(errors.Timeout):
+        s.tcp.connect(B_IP, 7116, timeout=0.5)  # the peer never answers
+    sent = _all_sent(peer)
+    assert len(sent) >= 2  # the SYN and at least one copy
+    assert all(seg.flag_syn and not seg.flag_rst for seg in sent), sent
+    assert wait_until(lambda: s.tcp.connection_count() == 0)
+
+
+def test_duplicate_syn_in_syn_rcvd_resends_the_syn_ack(solo):
+    s, far_end = solo(tcp_rto_ms=3000)
+    peer = ScriptedPeer(far_end, ip=B_IP)
+    s.tcp.listen(7117)
+    peer.announce(A_IP)
+    their_next = peer.handshake(A_IP, A_MAC, 6008, 7117, seq=4000, complete=False)
+    peer.send_tcp(A_IP, A_MAC, src_port=6008, dst_port=7117,
+                  seq=4000, ack=0, flag_syn=True)  # as if the SYN-ACK were lost
+    again = peer.expect_tcp(timeout=1.0)  # well before the 3 s RTO
+    assert again.flag_syn and again.flag_ack
+    assert again.seq == (their_next - 1) % 2**32 and again.ack == 4001
