@@ -5,6 +5,11 @@ instances.  A BindingRegistry maps a demux key (an ethertype or an IP
 protocol number) to a queue.  The transports demux on their own: UDP
 keeps its sockets by port in ``_ports``, and TCP keeps its connections
 by (local port, remote address, remote port) in ``_connections``.
+
+A stack stops the way a CSP pipeline does: a task loops ``for msg in
+queue:`` until its input is closed and drained, then closes the queues
+it feeds (through ``BindingRegistry.close`` when it feeds a registry).
+Closing the device therefore ends every layer in turn.
 """
 
 from __future__ import annotations
@@ -75,6 +80,14 @@ class MessageQueue:
     def __len__(self) -> int:
         return len(self._items)
 
+    def __iter__(self):
+        """Receive until the queue is closed and drained."""
+        while True:
+            try:
+                yield self.recv()
+            except Closed:
+                return
+
 
 class Counters:
     """Named event counters, safe to bump from any task."""
@@ -117,6 +130,13 @@ class BindingRegistry:
                 raise NotBound(f"{self.name}: key {key!r} not bound")
             del self._map[key]
 
+    def close(self) -> None:
+        """Close every bound queue; the task that fed them has ended."""
+        with self._lock:
+            queues = list(self._map.values())
+        for queue in queues:
+            queue.close()
+
     def lookup(self, key) -> MessageQueue | None:
         with self._lock:
             return self._map.get(key)
@@ -151,9 +171,9 @@ class TaskSet:
                     self._tasks.pop(thread, None)
 
         thread = threading.Thread(target=run, name=name, daemon=True)
-        with self._lock:
+        with self._lock:  # join_all must never list a thread not yet started
             self._tasks[thread] = name
-        thread.start()
+            thread.start()
         return thread
 
     def census(self, prefix: str = "") -> int:
@@ -165,14 +185,14 @@ class TaskSet:
             return sorted(self._tasks.values())
 
     def join_all(self, timeout: float = 10.0) -> int:
-        """Join every tracked task; returns how many were still alive after."""
+        """Join every tracked task, also any spawned meanwhile; returns how many are left."""
         deadline = threading.TIMEOUT_MAX if timeout is None else timeout
         stop_at = time.monotonic() + deadline
-        with self._lock:
-            threads = list(self._tasks)
-        for t in threads:
-            if t is threading.current_thread():
-                continue
-            t.join(max(0.0, stop_at - time.monotonic()))
-        return self.census()
+        while True:
+            with self._lock:
+                threads = [t for t in self._tasks if t is not threading.current_thread()]
+            if not threads or time.monotonic() >= stop_at:
+                return self.census()
+            for t in threads:
+                t.join(max(0.0, stop_at - time.monotonic()))
 

@@ -3,6 +3,10 @@
 The link reader pumps raw frames into the dealer's inbox with a
 non-blocking send, modelling a NIC ring that overflows rather than
 stalling the wire.  Everything above this layer blocks instead.
+
+Teardown starts here: when the device is closed, the link reader closes
+the dealer's inbox, and the dealer, once it has drained it, closes every
+queue bound in its registry, the ARP and IPv4 inboxes.
 """
 
 from __future__ import annotations
@@ -33,18 +37,11 @@ class EthernetLayer:
             except Closed:
                 self.inbound.close()
                 return
-            try:
-                if not self.inbound.send_nowait(frame):
-                    self.counters.incr("link.drop.overflow")
-            except Closed:
-                return
+            if not self.inbound.send_nowait(frame):  # only this task closes inbound
+                self.counters.incr("link.drop.overflow")
 
     def _dealer_loop(self) -> None:
-        while True:
-            try:
-                raw = self.inbound.recv()
-            except Closed:
-                return
+        for raw in self.inbound:
             try:
                 frame = wire.decode("ethernet", raw)
             except WireError:
@@ -54,6 +51,7 @@ class EthernetLayer:
                 self.counters.incr("eth.drop.foreign")
                 continue
             self.registry.dispatch(frame.ethertype, frame)
+        self.registry.close()
 
     def send(self, dst_mac: bytes, ethertype: int, payload: bytes) -> None:
         """Frame payload with our source MAC and put it on the wire."""

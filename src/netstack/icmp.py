@@ -52,11 +52,7 @@ class IcmpPing:
     # --- inbound ---
 
     def _dealer_loop(self) -> None:
-        while True:
-            try:
-                datagram = self.inbound.recv()
-            except Closed:
-                return
+        for datagram in self.inbound:
             try:
                 echo = wire.decode("icmp", datagram.payload)
             except WireError:

@@ -197,12 +197,9 @@ class Ipv4Layer:
             self._forward(whole)
 
     def _reader_loop(self) -> None:
-        while True:
-            try:
-                packet = self.dispatch_q.recv()
-            except Closed:
-                return
+        for packet in self.dispatch_q:
             self.registry.dispatch(packet.protocol, packet)
+        self.registry.close()
 
     # --- outbound ---
 

@@ -1,8 +1,11 @@
 """Stack assembly and lifecycle.
 
 stack_up wires the layers together bottom-to-top and spawns their
-tasks; stack_down closes queues in device-to-top order and waits for
-the task census to reach zero.
+tasks; stack_down closes the device and waits for the task census to
+reach zero.  Closing follows the data path: each task stops when its
+input closes and closes the queues it feeds, so the link reader ends
+the Ethernet dealer, which ends ARP and IPv4, and so on up to UDP, which
+closes its sockets, and TCP, which aborts its connections.
 """
 
 from __future__ import annotations
@@ -65,16 +68,7 @@ class Stack:
             if not self._running:
                 raise NotRunning("stack is not up")
             self._running = False
-        # device first, then each layer's queues on the way up
-        self.device.close()
-        self.eth.inbound.close()
-        self.arp.inbound.close()
-        self.ipv4.inbound.close()
-        self.icmp.inbound.close()
-        self.udp.inbound.close()
-        self.udp.close_all()
-        self.tcp.inbound.close()
-        self.tcp.shutdown()
+        self.device.close()  # every layer stops in turn as its input closes
         self.tasks.join_all(timeout)
 
     @property

@@ -68,7 +68,6 @@ from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
 from netstack.errors import (
     AlreadyBound,
-    Closed,
     ConnectionClosed,
     ConnectionRefused,
     ConnectionReset,
@@ -636,11 +635,7 @@ class Listener:
             children = list(self._half_open)
         self.layer._remove_listener(self)
         self.accept_q.close()
-        while True:
-            try:
-                children.append(self.accept_q.recv().tcb)
-            except Closed:
-                break
+        children.extend(conn.tcb for conn in self.accept_q)
         for tcb in children:
             tcb.abort(ConnectionReset("listener closed"))
 
@@ -706,11 +701,7 @@ class TcpLayer:
     # --- dealer ---
 
     def _dealer_loop(self) -> None:
-        while True:
-            try:
-                datagram = self.inbound.recv()
-            except Closed:
-                return
+        for datagram in self.inbound:
             try:
                 seg = wire.decode("tcp", datagram.payload,
                                   src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
@@ -729,6 +720,7 @@ class TcpLayer:
                 continue
             if not seg.flag_rst:
                 self._refuse(datagram.src_ip, seg)
+        self.shutdown()
 
     def _new_server_tcb(self, listener: Listener, peer_ip: bytes,
                         seg: wire.TcpSegment) -> None:
@@ -779,7 +771,7 @@ class TcpLayer:
             return list(self._connections.values())
 
     def shutdown(self) -> None:
-        """Abort every connection; used by stack teardown."""
+        """Close every listener and abort every connection; the dealer's last act."""
         with self._lock:
             listeners = list(self._listeners.values())
             tcbs = list(self._connections.values())

@@ -82,11 +82,7 @@ class UdpLayer:
             sock.close()
 
     def _dealer_loop(self) -> None:
-        while True:
-            try:
-                datagram = self.inbound.recv()
-            except Closed:
-                return
+        for datagram in self.inbound:
             try:
                 dgram = wire.decode("udp", datagram.payload,
                                     src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
@@ -103,3 +99,4 @@ class UdpLayer:
                     self.counters.incr("udp.drop.full")
             except Closed:
                 self.counters.incr("udp.drop.closed")
+        self.close_all()

@@ -45,6 +45,7 @@ def rig():
             s.down()
         except errors.NotRunning:
             pass
+    assert_no_tasks_left(built)
 
 
 @pytest.fixture
@@ -67,6 +68,13 @@ def solo():
             s.down()
         except errors.NotRunning:
             pass
+    assert_no_tasks_left([s for s, _end in built])
+
+
+def assert_no_tasks_left(stacks) -> None:
+    """Every fixture teardown is a leak check: down() must end every task."""
+    left = {s.config.ip: s.tasks.names() for s in stacks if s.tasks.census()}
+    assert not left, f"tasks still running after down(): {left}"
 
 
 def tcp_task_names(st) -> list[str]:

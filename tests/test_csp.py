@@ -87,6 +87,19 @@ def test_close_drains_queued_items_first():
         q.send(3)
 
 
+def test_iteration_receives_until_closed_and_drained():
+    q = MessageQueue(2)
+    got = []
+    reader = threading.Thread(target=lambda: got.extend(q), daemon=True)
+    reader.start()
+    for i in range(5):
+        q.send(i, timeout=1.0)
+    q.close()
+    reader.join(1.0)
+    assert not reader.is_alive()
+    assert got == list(range(5))
+
+
 def test_recv_timeout():
     q = MessageQueue(1)
     start = time.monotonic()
@@ -137,6 +150,19 @@ def test_registry_bind_dispatch_unbind():
         reg.unbind(2048)
 
 
+def test_registry_close_closes_every_bound_queue():
+    reg = BindingRegistry("ip", Counters())
+    queues = [MessageQueue(1) for _ in range(3)]
+    for proto, q in zip((1, 6, 17), queues):
+        reg.bind(proto, q)
+    reg.dispatch(6, "last")
+    reg.close()
+    assert list(queues[1]) == ["last"]  # queued items still drain
+    for q in queues:
+        with pytest.raises(errors.Closed):
+            q.recv()
+
+
 def test_dispatch_unbound_counts_drop():
     counters = Counters()
     reg = BindingRegistry("eth", counters)
@@ -166,10 +192,17 @@ def test_dealer_forwards_by_key():
 def test_taskset_census_and_prefix():
     tasks = TaskSet()
     gate = threading.Event()
+
+    def spawn_late():  # as a TCP dealer draining at teardown spawns a connection
+        gate.wait()
+        time.sleep(0.05)
+        tasks.spawn("tcp-conn-late", time.sleep, 0.2)
+
     tasks.spawn("tcp-conn-in", gate.wait)
     tasks.spawn("tcp-conn-send", gate.wait)
-    tasks.spawn("udp-dealer", gate.wait)
+    tasks.spawn("tcp-dealer", spawn_late)
     assert tasks.census() == 3
     assert tasks.census("tcp-conn") == 2
     gate.set()
-    assert tasks.join_all(2.0) == 0
+    assert tasks.join_all(2.0) == 0  # the late task too, spawned mid-join
+    assert tasks.census() == 0, tasks.names()

@@ -1,10 +1,14 @@
 """Whole-stack lifecycle: bring-up, teardown, and task hygiene."""
 
+import threading
+import time
+
 import pytest
 
 from conftest import fast_config, send_paced, wait_until, A_IP, B_IP
 
 from netstack import addr, errors, link, stack, wire
+from netstack.csp import MessageQueue
 
 
 def test_up_down_leaves_no_tasks():
@@ -67,6 +71,40 @@ def test_down_with_open_connections_and_sockets(rig):
     b.down()
     assert a.tasks.census() == 0, a.tasks.names()
     assert b.tasks.census() == 0, b.tasks.names()
+
+
+def test_down_ends_every_blocked_call(rig):
+    """Closing the device reaches every queue an application can wait on."""
+    a, b = rig()
+    listener = b.tcp.listen(8010)
+    client = a.tcp.connect(B_IP, 8010)
+    server = listener.accept(timeout=2.0)
+    sock = b.udp.bind(8011)
+    raw = MessageQueue(4)
+    b.ipv4.registry.bind(253, raw)  # RFC 3692's experimental protocol number
+    outcomes = {}
+
+    def block(name, call, *args):
+        try:
+            call(*args)
+            outcomes[name] = "returned"
+        except errors.NetstackError as e:
+            outcomes[name] = type(e).__name__
+
+    calls = {"accept": (listener.accept,), "recv": (server.recv,),
+             "recv_from": (sock.recv_from,), "raw": (raw.recv, 5.0)}
+    threads = [threading.Thread(target=block, args=(name, *call), daemon=True)
+               for name, call in calls.items()]
+    for t in threads:
+        t.start()
+    time.sleep(0.1)
+    b.down()
+    for t in threads:
+        t.join(1.0)
+    assert not any(t.is_alive() for t in threads), outcomes
+    assert outcomes["raw"] == "Closed", outcomes
+    assert "returned" not in outcomes.values(), outcomes
+    client.close()
 
 
 def test_emulated_device_required():
