@@ -10,6 +10,11 @@ A stack stops the way a CSP pipeline does: a task loops ``for msg in
 queue:`` until its input is closed and drained, then closes the queues
 it feeds (through ``BindingRegistry.close`` when it feeds a registry).
 Closing the device therefore ends every layer in turn.
+
+A hand-off costs what it must and no more.  A queue call that finds room
+or data takes the queue's lock once and parks no one, and ``notify``
+(``csp.Condition``) does nothing unless a task is parked, so only a task
+that had to wait is woken.
 """
 
 from __future__ import annotations
@@ -21,12 +26,33 @@ from collections import deque
 from netstack.errors import AlreadyBound, Closed, ConfigError, NotBound, Timeout
 
 
+class Condition(threading.Condition):
+    """A threading.Condition whose notify costs nothing when no task waits.
+
+    Notify with the lock held, as the stdlib requires: a waiter joins the
+    stdlib's ``_waiters`` only under that lock, so reading the list is
+    race-free (with no task parked, the stdlib's ownership check is
+    skipped too).  The stdlib's notify removes each waiter it wakes, so a
+    notify already delivered is not paid for again.
+    """
+
+    def notify(self, n: int = 1) -> None:
+        if self._waiters:
+            super().notify(n)
+
+    def notify_all(self) -> None:
+        if self._waiters:
+            super().notify_all()
+
+
 class MessageQueue:
     """Bounded FIFO channel between tasks.
 
     send blocks while the queue is full, recv blocks while it is empty.
-    close wakes every blocked task; receivers drain whatever is already
-    queued and then get Closed, senders get Closed immediately.
+    A call that finds room or data takes the lock once and parks no one,
+    and only a parked task is notified.  close wakes every blocked task;
+    receivers drain whatever is already queued and then get Closed,
+    senders get Closed immediately.
     """
 
     def __init__(self, capacity: int):
@@ -35,13 +61,13 @@ class MessageQueue:
         self.capacity = capacity
         self._items = deque()
         self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
+        self._not_full = Condition(self._lock)
+        self._not_empty = Condition(self._lock)
         self._closed = False
 
     def send(self, item, timeout: float = None) -> None:
-        with self._not_full:
-            if not self._not_full.wait_for(
+        with self._lock:
+            if len(self._items) >= self.capacity and not self._not_full.wait_for(
                     lambda: self._closed or len(self._items) < self.capacity, timeout):
                 raise Timeout("send timed out on a full queue")
             if self._closed:
@@ -51,7 +77,7 @@ class MessageQueue:
 
     def send_nowait(self, item) -> bool:
         """Non-blocking send; returns False instead of waiting on a full queue."""
-        with self._not_full:
+        with self._lock:
             if self._closed:
                 raise Closed("queue is closed")
             if len(self._items) >= self.capacity:
@@ -61,8 +87,8 @@ class MessageQueue:
             return True
 
     def recv(self, timeout: float = None):
-        with self._not_empty:
-            if not self._not_empty.wait_for(
+        with self._lock:
+            if not self._items and not self._not_empty.wait_for(
                     lambda: self._closed or self._items, timeout):
                 raise Timeout("recv timed out on an empty queue")
             if self._items:

@@ -6,6 +6,8 @@ ARP dealer caches the sender of every ARP packet aimed at us, so resolving
 the reply's next hop is normally a hit on the published cache; a miss
 waits in the dealer.
 An echo reply goes to the pinger waiting on its (identifier, sequence).
+When the dealer's inbox ends, it closes every pinger's reply queue, so a
+ping in flight at teardown is lost at once instead of at its timeout.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class IcmpPing:
                 self._reply(datagram.src_ip, echo)
             else:
                 self._route_reply(echo)
+        # no reply can come now: each ping still waiting counts as lost at once
+        with self._waiters_lock:
+            waiting, self._waiters = list(self._waiters.values()), {}
+        for reply_q in waiting:
+            reply_q.close()
 
     def _route_reply(self, echo: wire.IcmpEcho) -> None:
         with self._waiters_lock:

@@ -16,6 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from netstack.csp import Condition
 from netstack.errors import Closed, DeviceUnavailable, FrameTooLarge, LengthError, Timeout
 
 ETH_HEADER = 14
@@ -51,7 +52,7 @@ class _Direction:
         self.profile = profile
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = Condition(self._lock)
         self._frames = []  # (deliver_at, frame), append-ordered
         self._held = None
         self.closed = False

@@ -5,7 +5,9 @@ the SYN-ACK (a listener's child) and spawns the task; the task
 deregisters the TCB on the turn that finds it CLOSED.  A listener owns
 its children until ``accept`` hands them out, the half-open ones in a
 set and the established ones in its accept queue, ``backlog`` in all.
-Closing it resets every child it still owns.
+Closing it resets every child it still owns.  Our SYN offers our MSS
+(the MTU less 40), and an MSS option in the peer's SYN or SYN-ACK that
+is smaller caps the segments we cut (RFC 9293 §3.7.1).
 
 Every local reset is RFC 9293's ABORT (§3.10.5), ``Tcb._abort_locked``:
 from SYN_RCVD, ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2 or CLOSE_WAIT it sends
@@ -53,7 +55,8 @@ allows.
 
 The TCB's fields are guarded by one lock per connection.  Two condition
 variables share it: ``_work`` wakes the connection task, and ``_cond``
-wakes application calls waiting for state, data or buffer room.
+wakes application calls waiting for state, data or buffer room.  Both
+are ``csp.Condition``s, so a notify with no one parked costs nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import time
 from collections import deque
 
 from netstack import addr, wire
-from netstack.csp import Counters, MessageQueue, TaskSet
+from netstack.csp import Condition, Counters, MessageQueue, TaskSet
 from netstack.errors import (
     AlreadyBound,
     ConnectionClosed,
@@ -120,12 +123,12 @@ class Tcb:
         self.local = local    # (ip bytes, port)
         self.remote = remote  # (ip bytes, port)
         self.listener = listener
-        self.mss = layer.mss
+        self.mss = layer.mss  # largest payload we send; the peer's MSS option may lower it
         self.window_segments = layer.window_segments
         self._inbox = []  # segments from the dealer, at most queue_capacity
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)  # application waiters
-        self._work = threading.Condition(self._lock)  # the connection task
+        self._cond = Condition(self._lock)  # application waiters
+        self._work = Condition(self._lock)  # the connection task
         self.state = TcbState.LISTEN if listener else TcbState.CLOSED
         self.history = [self.state]
         self.snd_una = 0
@@ -333,10 +336,17 @@ class Tcb:
                     f"{addr.format_ip(self.remote[0])}:{self.remote[1]} refused"))
             return
         if seg.flag_syn and seg.flag_ack and seg.ack == self.snd_nxt:
+            self._take_peer_mss(seg)
             self.rcv_nxt = seq_add(seg.seq, 1)
             self._process_ack(seg.ack, out)
             self._enter(TcbState.ESTABLISHED)
             self._pure_ack(out)
+
+    def _take_peer_mss(self, syn: wire.TcpSegment) -> None:
+        # RFC 9293 §3.7.1: send no segment larger than the peer's MSS option;
+        # an option of 0 is ignored, as cutting empty segments would never end
+        if syn.mss:
+            self.mss = min(self.layer.mss, syn.mss)
 
     def _process_ack(self, ack: int, out: list) -> None:
         if not (seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt)):
@@ -459,6 +469,7 @@ class Tcb:
             if syn is None:
                 self._enter(TcbState.SYN_SENT)
             elif self.state is TcbState.LISTEN:
+                self._take_peer_mss(syn)
                 self.rcv_nxt = seq_add(syn.seq, 1)
                 self._state_deadline = time.monotonic() + self.layer.handshake_timeout_s
                 self._enter(TcbState.SYN_RCVD)
@@ -466,7 +477,8 @@ class Tcb:
             if self.state is not TcbState.CLOSED:
                 self.snd_una = iss
                 self.snd_nxt = seq_add(iss, 1)
-                raw = self._segment(iss, syn=True, with_ack=syn is not None, mss=self.mss)
+                raw = self._segment(iss, syn=True, with_ack=syn is not None,
+                                    mss=self.layer.mss)
                 self._register_inflight(self.snd_nxt, raw)
         if raw is not None:
             self._emit(raw)

@@ -1,12 +1,13 @@
 """Queue, registry, and dealer-loop behaviour."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from netstack import errors
-from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
+from netstack.csp import BindingRegistry, Condition, Counters, MessageQueue, TaskSet
 
 
 def test_send_then_receive():
@@ -55,23 +56,28 @@ def test_recv_blocks_until_send():
 
 
 def test_close_wakes_blocked_receivers():
-    q = MessageQueue(1)
+    empty, full = MessageQueue(1), MessageQueue(1)
+    full.send("occupant")
     outcomes = []
 
-    def receiver():
+    def blocked(call):
         try:
-            q.recv()
+            call()
         except errors.Closed:
             outcomes.append("closed")
 
-    threads = [threading.Thread(target=receiver, daemon=True) for _ in range(3)]
+    threads = [threading.Thread(target=blocked, args=(empty.recv,), daemon=True)
+               for _ in range(3)]
+    threads.append(threading.Thread(target=blocked, args=(lambda: full.send("late"),),
+                                    daemon=True))
     for t in threads:
         t.start()
     time.sleep(0.05)
-    q.close()
+    empty.close()
+    full.close()
     for t in threads:
         t.join(1.0)
-    assert outcomes == ["closed"] * 3
+    assert outcomes == ["closed"] * 4
 
 
 def test_close_drains_queued_items_first():
@@ -106,6 +112,12 @@ def test_recv_timeout():
     with pytest.raises(errors.Timeout):
         q.recv(timeout=0.1)
     assert 0.05 < time.monotonic() - start < 1.0
+    q.send("occupant")
+    start = time.monotonic()
+    with pytest.raises(errors.Timeout):
+        q.send("late", timeout=0.1)
+    assert 0.05 < time.monotonic() - start < 1.0
+    assert len(q) == 1  # the timed-out item was not queued
 
 
 def test_send_nowait_on_full_queue():
@@ -134,6 +146,80 @@ def test_many_producers_preserve_per_producer_order():
         t.join(1.0)
     for p in range(n_producers):
         assert seen[p] == list(range(n_items))
+
+
+def test_one_slot_queue_loses_no_wakeup():
+    q = MessageQueue(1)
+    n_items = 500
+    got = [[] for _ in range(4)]
+    closing, ended_before_close = threading.Event(), []
+
+    def producer(pid):
+        for i in range(n_items):
+            q.send((pid, i))
+
+    def consumer(c):
+        got[c].extend(q)
+        if not closing.is_set():
+            ended_before_close.append(c)
+
+    producers = [threading.Thread(target=producer, args=(p,), daemon=True)
+                 for p in range(4)]
+    consumers = [threading.Thread(target=consumer, args=(c,), daemon=True)
+                 for c in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside every hand-off
+    try:
+        for t in producers + consumers:
+            t.start()
+        deadline = time.monotonic() + 10.0
+        for t in producers:
+            t.join(max(0.0, deadline - time.monotonic()))
+        senders_done = not any(t.is_alive() for t in producers)
+    finally:
+        sys.setswitchinterval(interval)
+        closing.set()
+        q.close()
+    assert senders_done, "a sender was never woken"
+    for t in consumers:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in consumers), "a receiver was never woken"
+    assert ended_before_close == [], "a receiver got Closed from an open queue"
+    items = [item for taken in got for item in taken]
+    assert sorted(items) == [(p, i) for p in range(4) for i in range(n_items)]
+
+
+def test_condition_notifies_only_a_parked_task(monkeypatch):
+    calls = []
+    stdlib_notify = threading.Condition.notify
+
+    def counted_notify(self, n=1):
+        if self is cond:  # threading.Event and Thread.start notify too
+            calls.append(n)
+        stdlib_notify(self, n)
+
+    monkeypatch.setattr(threading.Condition, "notify", counted_notify)
+    cond = Condition(threading.Lock())
+    with cond:
+        cond.notify()
+        cond.notify_all()
+    assert calls == []  # no task parked: the stdlib's notify never ran
+    for wake in (cond.notify, cond.notify_all):
+        parked, woke = threading.Event(), []
+
+        def waiter():
+            with cond:
+                parked.set()
+                woke.append(cond.wait(5.0))  # releases the lock only once parked
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        parked.wait(1.0)
+        with cond:  # acquired only after the waiter has parked
+            wake()
+        t.join(1.0)
+        assert woke == [True]
+    assert calls == [1, 1]
 
 
 def test_registry_bind_dispatch_unbind():

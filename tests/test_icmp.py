@@ -1,6 +1,7 @@
 """Echo request/reply behaviour and ping session bookkeeping."""
 
 import threading
+import time
 
 import pytest
 
@@ -101,3 +102,20 @@ def test_lossy_wire_reports_partial_loss(rig):
     stats = a.icmp.ping(B_IP, count=20, interval=0.0, timeout=0.3)
     assert 0 < stats.received < 20
     assert stats.loss == pytest.approx(1 - stats.received / 20)
+
+
+def test_ping_in_flight_at_down_counts_as_lost_at_once(rig):
+    a, b = rig()
+    assert a.icmp.ping(B_IP, count=1, interval=0.0).received == 1  # B is in a's ARP cache
+    b.down()  # no reply can come
+    result = []
+    pinger = threading.Thread(
+        target=lambda: result.append(a.icmp.ping(B_IP, count=1, timeout=5.0)))
+    pinger.start()
+    time.sleep(0.2)
+    a.down()
+    downed_at = time.monotonic()
+    pinger.join(5.0)
+    assert time.monotonic() - downed_at < 1.0  # not the whole 5 s timeout
+    [stats] = result
+    assert stats.sent == 1 and stats.received == 0 and stats.loss == 1.0
