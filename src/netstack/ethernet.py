@@ -57,8 +57,7 @@ class EthernetLayer:
         """Frame payload with our source MAC and put it on the wire."""
         if len(payload) > self.device.mtu:
             raise FrameTooLarge(f"{len(payload)} bytes exceeds mtu {self.device.mtu}")
-        raw = wire.EthernetFrame(dst_mac=dst_mac, src_mac=self.mac,
-                                 ethertype=ethertype, payload=payload).encode()
+        raw = wire.EthernetFrame(dst_mac, self.mac, ethertype, payload).encode()
         try:
             self.device.write_frame(raw)
         except Closed:

@@ -6,8 +6,9 @@ ARP dealer caches the sender of every ARP packet aimed at us, so resolving
 the reply's next hop is normally a hit on the published cache; a miss
 waits in the dealer.
 An echo reply goes to the pinger waiting on its (identifier, sequence).
-When the dealer's inbox ends, it closes every pinger's reply queue, so a
-ping in flight at teardown is lost at once instead of at its timeout.
+When the dealer's inbox ends, it closes every pinger's reply queue and
+takes no more waiters, so a ping in flight at teardown, or started after
+it, is lost at once instead of at its timeout.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class IcmpPing:
         self.inbound = MessageQueue(config.queue_capacity)
         self._waiters = {}  # (identifier, sequence) -> reply queue
         self._waiters_lock = threading.Lock()
+        self._ended = False  # set with _waiters_lock held once the dealer has stopped
         self._ident = itertools.count(1)
 
     def start(self) -> None:
@@ -66,6 +68,7 @@ class IcmpPing:
                 self._route_reply(echo)
         # no reply can come now: each ping still waiting counts as lost at once
         with self._waiters_lock:
+            self._ended = True
             waiting, self._waiters = list(self._waiters.values()), {}
         for reply_q in waiting:
             reply_q.close()
@@ -128,6 +131,8 @@ class IcmpPing:
         reply_q = MessageQueue(1)
         key = (identifier, sequence)
         with self._waiters_lock:
+            if self._ended:  # nobody would answer, or close, reply_q
+                return None
             self._waiters[key] = reply_q
         request = wire.IcmpEcho(icmp_type=wire.ICMP_ECHO_REQUEST,
                                 identifier=identifier, sequence=sequence, data=data)

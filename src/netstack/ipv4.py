@@ -111,6 +111,8 @@ class Ipv4Layer:
         self.tasks = tasks
         self.our_ip = config.ip_bytes
         self.netmask = config.netmask_bytes
+        self._mask = addr.ip_to_int(self.netmask)
+        self._subnet = addr.ip_to_int(self.our_ip) & self._mask
         self.gateway = config.gateway_bytes
         self.broadcasts = (addr.BROADCAST_IP,
                            addr.subnet_broadcast(self.our_ip, self.netmask))
@@ -225,16 +227,15 @@ class Ipv4Layer:
         dst_mac = self._resolve_next_hop(dst)
         ident = self.next_identification()
         for offset_units, more, chunk in fragment_payload(payload, self.mtu):
-            packet = wire.Ipv4Packet(src_ip=self.our_ip, dst_ip=dst,
-                                     protocol=protocol, payload=chunk,
-                                     identification=ident, mf=more,
-                                     fragment_offset=offset_units)
+            # positional, in field order: addresses, protocol, payload, id, ttl, DF, MF, offset
+            packet = wire.Ipv4Packet(self.our_ip, dst, protocol, chunk,
+                                     ident, 64, False, more, offset_units)
             self.eth.send(dst_mac, wire.ETHERTYPE_IPV4, packet.encode())
 
     def _resolve_next_hop(self, dst: bytes) -> bytes:
         if dst in self.broadcasts:
             return addr.BROADCAST_MAC
-        if addr.same_subnet(dst, self.our_ip, self.netmask):
+        if addr.ip_to_int(dst) & self._mask == self._subnet:
             next_hop = dst
         elif self.gateway is not None:
             next_hop = self.gateway

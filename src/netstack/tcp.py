@@ -6,8 +6,9 @@ deregisters the TCB on the turn that finds it CLOSED.  A listener owns
 its children until ``accept`` hands them out, the half-open ones in a
 set and the established ones in its accept queue, ``backlog`` in all.
 Closing it resets every child it still owns.  Our SYN offers our MSS
-(the MTU less 40), and an MSS option in the peer's SYN or SYN-ACK that
-is smaller caps the segments we cut (RFC 9293 §3.7.1).
+(the MTU less 40).  The segments we cut are capped by the MSS option in
+the peer's SYN or SYN-ACK when it is smaller, and by the default of 536
+when the peer sends none (RFC 9293 §3.7.1).
 
 Every local reset is RFC 9293's ABORT (§3.10.5), ``Tcb._abort_locked``:
 from SYN_RCVD, ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2 or CLOSE_WAIT it sends
@@ -83,6 +84,7 @@ _MASK = 0xFFFFFFFF
 _SEND_BUFFER_CAP = 262144
 _RETRANSMIT_LIMIT = 5  # transmissions counting the first; the 5th timeout resets
 _WINDOW = 65535  # the receive window every segment advertises
+_DEFAULT_MSS = 536  # what a peer whose SYN carries no MSS option can take
 
 
 def seq_add(a: int, n: int) -> int:
@@ -123,7 +125,7 @@ class Tcb:
         self.local = local    # (ip bytes, port)
         self.remote = remote  # (ip bytes, port)
         self.listener = listener
-        self.mss = layer.mss  # largest payload we send; the peer's MSS option may lower it
+        self.mss = layer.mss  # largest payload we send; the peer's SYN may lower it
         self.window_segments = layer.window_segments
         self._inbox = []  # segments from the dealer, at most queue_capacity
         self._lock = threading.Lock()
@@ -161,12 +163,10 @@ class Tcb:
     def _segment(self, seq: int, payload: bytes = b"", fin: bool = False,
                  syn: bool = False, rst: bool = False, with_ack: bool = True,
                  mss: int = None) -> bytes:
-        seg = wire.TcpSegment(
-            src_port=self.local[1], dst_port=self.remote[1],
-            seq=seq, ack=self.rcv_nxt if with_ack else 0,
-            window=_WINDOW, flag_fin=fin, flag_syn=syn, flag_rst=rst,
-            flag_ack=with_ack, mss=mss, payload=payload,
-        )
+        # positional, in field order: ports, seq, ack, window, FIN SYN RST ACK PSH URG, mss
+        seg = wire.TcpSegment(self.local[1], self.remote[1], seq,
+                              self.rcv_nxt if with_ack else 0, _WINDOW,
+                              fin, syn, rst, with_ack, False, False, mss, payload)
         return seg.encode(self.local[0], self.remote[0])
 
     def _pure_ack(self, out: list) -> None:
@@ -343,10 +343,10 @@ class Tcb:
             self._pure_ack(out)
 
     def _take_peer_mss(self, syn: wire.TcpSegment) -> None:
-        # RFC 9293 §3.7.1: send no segment larger than the peer's MSS option;
-        # an option of 0 is ignored, as cutting empty segments would never end
-        if syn.mss:
-            self.mss = min(self.layer.mss, syn.mss)
+        # RFC 9293 §3.7.1: send no segment larger than the peer's MSS option, or
+        # than the default without one; an option of 0 counts as none, as
+        # cutting empty segments would never end
+        self.mss = min(self.layer.mss, syn.mss or _DEFAULT_MSS)
 
     def _process_ack(self, ack: int, out: list) -> None:
         if not (seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt)):

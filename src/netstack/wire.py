@@ -4,6 +4,10 @@ Everything here is a pure function over bytes: encoding computes length
 and checksum fields itself rather than trusting the caller, decoding
 verifies them and never reads past the end of its input.  All layouts
 are network byte order.
+
+The Ethernet, IPv4, TCP and pseudo-header layouts are precompiled, one
+`struct.Struct` each; their decoders build units positionally, and the
+IPv4 and TCP encoders pack the header again with the checksum in place.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ _PSH = 0x08
 _ACK = 0x10
 _URG = 0x20
 
+_ETH = struct.Struct("!6s6sH")
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_TCP = struct.Struct("!HHIIBBHHH")
+_PSEUDO = struct.Struct("!4s4sBBH")
+
 
 def internet_checksum(data: bytes) -> int:
     """One's-complement checksum over big-endian 16-bit words (RFC 1071).
@@ -66,13 +75,12 @@ def transport_checksum(src_ip: bytes, dst_ip: bytes, protocol: int, segment: byt
     """Checksum over the IPv4 pseudo-header followed by the segment."""
     if len(segment) > 0xFFFF:
         raise LengthError(f"segment of {len(segment)} bytes exceeds 65535")
-    pseudo = struct.pack("!4s4sBBH", bytes(src_ip), bytes(dst_ip), 0, protocol, len(segment))
+    pseudo = _PSEUDO.pack(bytes(src_ip), bytes(dst_ip), 0, protocol, len(segment))
     return internet_checksum(pseudo + segment)
 
 
-def _need(data: bytes, n: int, what: str) -> None:
-    if len(data) < n:
-        raise TruncatedFrame(f"{what}: have {len(data)} bytes, need {n}")
+def _short(data: bytes, n: int, what: str) -> TruncatedFrame:
+    return TruncatedFrame(f"{what}: have {len(data)} bytes, need {n}")
 
 
 @dataclass
@@ -83,13 +91,14 @@ class EthernetFrame:
     payload: bytes = b""
 
     def encode(self) -> bytes:
-        return struct.pack("!6s6sH", self.dst_mac, self.src_mac, self.ethertype) + self.payload
+        return _ETH.pack(self.dst_mac, self.src_mac, self.ethertype) + self.payload
 
     @classmethod
     def decode(cls, data: bytes) -> "EthernetFrame":
-        _need(data, ETH_HEADER, "ethernet header")
-        dst, src, etype = struct.unpack_from("!6s6sH", data)
-        return cls(dst_mac=dst, src_mac=src, ethertype=etype, payload=bytes(data[ETH_HEADER:]))
+        if len(data) < ETH_HEADER:
+            raise _short(data, ETH_HEADER, "ethernet header")
+        dst, src, etype = _ETH.unpack_from(data)
+        return cls(dst, src, etype, bytes(data[ETH_HEADER:]))
 
 
 @dataclass
@@ -109,7 +118,8 @@ class ArpPacket:
 
     @classmethod
     def decode(cls, data: bytes) -> "ArpPacket":
-        _need(data, 28, "arp packet")
+        if len(data) < 28:
+            raise _short(data, 28, "arp packet")
         hw, proto, hlen, plen, op, smac, sip, tmac, tip = struct.unpack_from("!HHBBH6s4s6s4s", data)
         if hw != 1 or proto != ETHERTYPE_IPV4 or hlen != 6 or plen != 4:
             raise Unsupported(f"arp for hw={hw} proto={proto:#x}")
@@ -136,41 +146,38 @@ class Ipv4Packet:
         return self.mf or self.fragment_offset != 0
 
     def encode(self) -> bytes:
-        if len(self.payload) > 65515:
-            raise LengthError(f"ipv4 payload of {len(self.payload)} bytes exceeds 65515")
+        payload = self.payload
+        if len(payload) > 65515:
+            raise LengthError(f"ipv4 payload of {len(payload)} bytes exceeds 65515")
         if self.fragment_offset > 0x1FFF:
             raise LengthError(f"fragment offset {self.fragment_offset} exceeds 13 bits")
-        flags_frag = (self.df << 14) | (self.mf << 13) | self.fragment_offset
-        head = struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45, self.dscp_ecn, IP_HEADER + len(self.payload),
-            self.identification, flags_frag, self.ttl, self.protocol, 0,
-            self.src_ip, self.dst_ip,
-        )
-        head = head[:10] + struct.pack("!H", internet_checksum(head)) + head[12:]
-        return head + self.payload
+        tos, total, ident, flags_frag, ttl, proto, src, dst = (
+            self.dscp_ecn, IP_HEADER + len(payload), self.identification,
+            (self.df << 14) | (self.mf << 13) | self.fragment_offset,
+            self.ttl, self.protocol, self.src_ip, self.dst_ip)
+        head = _IPV4.pack(0x45, tos, total, ident, flags_frag, ttl, proto, 0, src, dst)
+        csum = internet_checksum(head)
+        return _IPV4.pack(0x45, tos, total, ident, flags_frag, ttl, proto, csum, src, dst) + payload
 
     @classmethod
     def decode(cls, data: bytes) -> "Ipv4Packet":
-        _need(data, IP_HEADER, "ipv4 header")
+        if len(data) < IP_HEADER:
+            raise _short(data, IP_HEADER, "ipv4 header")
         ver_ihl, dscp, total, ident, flags_frag, ttl, proto, _csum, src, dst = \
-            struct.unpack_from("!BBHHHBBH4s4s", data)
+            _IPV4.unpack_from(data)
         if ver_ihl >> 4 != 4:
             raise Unsupported(f"ip version {ver_ihl >> 4}")
         if ver_ihl & 0x0F != 5:
             raise Unsupported("ipv4 options")
         if total < IP_HEADER:
             raise TruncatedFrame(f"ipv4 total_length {total} below header size")
-        _need(data, total, "ipv4 packet")
+        if len(data) < total:
+            raise _short(data, total, "ipv4 packet")
         if internet_checksum(data[:IP_HEADER]) != 0:
             raise ChecksumMismatch("ipv4 header checksum")
-        return cls(
-            src_ip=src, dst_ip=dst, protocol=proto,
-            payload=bytes(data[IP_HEADER:total]),
-            identification=ident, ttl=ttl,
-            df=bool(flags_frag & 0x4000), mf=bool(flags_frag & 0x2000),
-            fragment_offset=flags_frag & 0x1FFF, dscp_ecn=dscp,
-        )
+        return cls(src, dst, proto, bytes(data[IP_HEADER:total]), ident, ttl,
+                   flags_frag & 0x4000 != 0, flags_frag & 0x2000 != 0,
+                   flags_frag & 0x1FFF, dscp)
 
 
 @dataclass
@@ -189,7 +196,8 @@ class IcmpEcho:
 
     @classmethod
     def decode(cls, data: bytes) -> "IcmpEcho":
-        _need(data, 8, "icmp header")
+        if len(data) < 8:
+            raise _short(data, 8, "icmp header")
         if internet_checksum(data) != 0:
             raise ChecksumMismatch("icmp checksum")
         itype, code, _csum, ident, seq = struct.unpack_from("!BBHHH", data)
@@ -215,11 +223,13 @@ class UdpDatagram:
 
     @classmethod
     def decode(cls, data: bytes, src_ip: bytes = None, dst_ip: bytes = None) -> "UdpDatagram":
-        _need(data, 8, "udp header")
+        if len(data) < 8:
+            raise _short(data, 8, "udp header")
         sport, dport, length, csum = struct.unpack_from("!HHHH", data)
         if length < 8:
             raise TruncatedFrame(f"udp length field {length} below header size")
-        _need(data, length, "udp datagram")
+        if len(data) < length:
+            raise _short(data, length, "udp datagram")
         if csum != 0 and src_ip is not None and dst_ip is not None:
             if transport_checksum(src_ip, dst_ip, PROTO_UDP, data[:length]) != 0:
                 raise ChecksumMismatch("udp checksum")
@@ -253,27 +263,26 @@ class TcpSegment:
 
     def encode(self, src_ip: bytes, dst_ip: bytes) -> bytes:
         options = b"" if self.mss is None else struct.pack("!BBH", 2, 4, self.mss)
-        offset_words = 5 + len(options) // 4
-        head = struct.pack(
-            "!HHIIBBHHH",
+        tail = options + self.payload
+        if len(tail) > 65515:
+            raise LengthError(f"tcp segment of {20 + len(tail)} bytes exceeds 65535")
+        sport, dport, seq, ack, off_byte, flags, window = (
             self.src_port, self.dst_port, self.seq, self.ack,
-            offset_words << 4, self.flags_byte(), self.window, 0, 0,
-        )
-        seg = head + options + self.payload
-        if len(seg) > 65535:
-            raise LengthError(f"tcp segment of {len(seg)} bytes exceeds 65535")
-        c = transport_checksum(src_ip, dst_ip, PROTO_TCP, seg)
-        return seg[:16] + struct.pack("!H", c) + seg[18:]
+            (5 + len(options) // 4) << 4, self.flags_byte(), self.window)
+        unchecked = _TCP.pack(sport, dport, seq, ack, off_byte, flags, window, 0, 0) + tail
+        c = transport_checksum(src_ip, dst_ip, PROTO_TCP, unchecked)
+        return _TCP.pack(sport, dport, seq, ack, off_byte, flags, window, c, 0) + tail
 
     @classmethod
     def decode(cls, data: bytes, src_ip: bytes = None, dst_ip: bytes = None) -> "TcpSegment":
-        _need(data, 20, "tcp header")
-        sport, dport, seq, ack, off_byte, flags, window, _csum, _urgp = \
-            struct.unpack_from("!HHIIBBHHH", data)
+        if len(data) < 20:
+            raise _short(data, 20, "tcp header")
+        sport, dport, seq, ack, off_byte, flags, window, _csum, _urgp = _TCP.unpack_from(data)
         offset = (off_byte >> 4) * 4
         if offset < 20:
             raise Unsupported(f"tcp data offset {offset}")
-        _need(data, offset, "tcp options")
+        if len(data) < offset:
+            raise _short(data, offset, "tcp options")
         if src_ip is not None and dst_ip is not None:
             if transport_checksum(src_ip, dst_ip, PROTO_TCP, data) != 0:
                 raise ChecksumMismatch("tcp checksum")
@@ -294,13 +303,10 @@ class TcpSegment:
             if kind == 2 and olen == 4:
                 mss = struct.unpack_from("!H", data, i + 2)[0]
             i += olen
-        return cls(
-            src_port=sport, dst_port=dport, seq=seq, ack=ack, window=window,
-            flag_fin=bool(flags & _FIN), flag_syn=bool(flags & _SYN),
-            flag_rst=bool(flags & _RST), flag_ack=bool(flags & _ACK),
-            flag_psh=bool(flags & _PSH), flag_urg=bool(flags & _URG),
-            mss=mss, payload=bytes(data[offset:]),
-        )
+        return cls(sport, dport, seq, ack, window,
+                   flags & _FIN != 0, flags & _SYN != 0, flags & _RST != 0,
+                   flags & _ACK != 0, flags & _PSH != 0, flags & _URG != 0,
+                   mss, bytes(data[offset:]))
 
 
 _LAYERS = {
@@ -319,7 +325,7 @@ def decode(layer: str, data: bytes, src_ip: bytes = None, dst_ip: bytes = None):
     """Decode data as the named layer's unit, checking its invariants."""
     cls = _LAYERS[layer]
     if cls in _NEEDS_ADDRESSES:
-        return cls.decode(data, src_ip=src_ip, dst_ip=dst_ip)
+        return cls.decode(data, src_ip, dst_ip)
     return cls.decode(data)
 
 

@@ -40,7 +40,7 @@ def test_criterion_01_codec_round_trip_and_noise_immunity():
     started = time.perf_counter()
     src, dst = A_IP, B_IP
     for layer in LAYERS:
-        rng = random.Random(hash(layer) & 0xFFFFFF)
+        rng = random.Random(f"criterion_01:{layer}")
         for _ in range(10_000):
             unit = _random_unit(rng, layer)
             raw = wire.encode(unit, src_ip=src, dst_ip=dst)

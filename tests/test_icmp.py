@@ -119,3 +119,14 @@ def test_ping_in_flight_at_down_counts_as_lost_at_once(rig):
     assert time.monotonic() - downed_at < 1.0  # not the whole 5 s timeout
     [stats] = result
     assert stats.sent == 1 and stats.received == 0 and stats.loss == 1.0
+
+
+def test_ping_after_down_is_lost_at_once(rig):
+    a, _b = rig()
+    assert a.icmp.ping(B_IP, count=1, interval=0.0).received == 1
+    a.down()
+    started = time.monotonic()
+    stats = a.ping(B_IP, count=3, interval=0, timeout=1.5)
+    assert time.monotonic() - started < 0.5  # not three 1.5 s timeouts
+    assert stats.sent == 3 and stats.received == 0
+    assert a.icmp.waiter_count() == 0

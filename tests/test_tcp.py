@@ -73,15 +73,15 @@ def test_payload_is_cut_at_mss(rig):
     client.close()
 
 
-def _open_to_a_peer_with_mss_536(solo, passive: bool):
-    """A connection whose scripted peer's SYN or SYN-ACK carries MSS 536."""
+def _open_to_a_peer(solo, passive: bool, mss):
+    """A connection whose scripted peer's SYN or SYN-ACK carries mss as its option."""
     s, far_end = solo()
     peer = ScriptedPeer(far_end, ip=B_IP)
     peer.announce(A_IP)
     if passive:
         listener = s.tcp.listen(7020)
         peer.send_tcp(A_IP, A_MAC, src_port=6010, dst_port=7020,
-                      seq=500, ack=0, flag_syn=True, mss=536)
+                      seq=500, ack=0, flag_syn=True, mss=mss)
         synack = peer.expect_tcp(lambda g: g.flag_syn and g.flag_ack)
         peer.send_tcp(A_IP, A_MAC, src_port=6010, dst_port=7020,
                       seq=501, ack=(synack.seq + 1) % 2**32, flag_ack=True)
@@ -91,14 +91,16 @@ def _open_to_a_peer_with_mss_536(solo, passive: bool):
     opener.start()
     syn = peer.expect_tcp(lambda g: g.flag_syn)
     peer.send_tcp(A_IP, A_MAC, src_port=7021, dst_port=syn.src_port, seq=500,
-                  ack=(syn.seq + 1) % 2**32, flag_syn=True, flag_ack=True, mss=536)
+                  ack=(syn.seq + 1) % 2**32, flag_syn=True, flag_ack=True, mss=mss)
     opener.join(3.0)
     return peer, syn, opened[0]
 
 
-@pytest.mark.parametrize("passive", [True, False], ids=["passive", "active"])
-def test_segments_are_cut_at_the_peers_mss(solo, passive):
-    peer, our_syn, conn = _open_to_a_peer_with_mss_536(solo, passive)
+# a SYN without the option stands for RFC 9293's default MSS of 536
+@pytest.mark.parametrize("passive, mss", [(True, 536), (False, 536), (True, None), (False, None)],
+                         ids=["passive", "active", "passive-no-option", "active-no-option"])
+def test_segments_are_cut_at_the_peers_mss(solo, passive, mss):
+    peer, our_syn, conn = _open_to_a_peer(solo, passive, mss)
     assert our_syn.mss == 1460  # our option still offers what we can take
     conn.send(bytes(2000))
     sizes = [len(peer.expect_tcp(_data).payload) for _ in range(4)]

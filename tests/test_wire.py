@@ -1,5 +1,6 @@
 """Header codec tests: fixed layouts, error paths, round trips."""
 
+import hashlib
 import random
 import struct
 
@@ -165,13 +166,21 @@ def test_udp_zero_checksum_accepted():
     assert wire.decode("udp", bytes(raw), src_ip=SRC_IP, dst_ip=DST_IP).payload == b"x"
 
 
-def test_udp_computed_zero_checksum_is_sent_as_all_ones():
-    # With its last word 0, the datagram checksums to c; a last word of c
-    # then makes the words sum to 0xFFFF, whose checksum is 0.
-    head = struct.pack("!HHHH", 5000, 7, 8 + 6, 0)
-    c = wire.transport_checksum(SRC_IP, DST_IP, 17, head + b"abcd\x00\x00")
-    d = UdpDatagram(src_port=5000, dst_port=7, payload=b"abcd" + struct.pack("!H", c))
+def _udp_summing_to_zero(src_port: int, dst_port: int, prefix: bytes) -> UdpDatagram:
+    """A datagram whose computed checksum is 0; prefix must have even length.
+
+    With its last word 0, the datagram checksums to c; a last word of c
+    then makes the words sum to 0xFFFF, whose checksum is 0.
+    """
+    head = struct.pack("!HHHH", src_port, dst_port, 8 + len(prefix) + 2, 0)
+    c = wire.transport_checksum(SRC_IP, DST_IP, 17, head + prefix + b"\x00\x00")
+    d = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=prefix + struct.pack("!H", c))
     assert wire.transport_checksum(SRC_IP, DST_IP, 17, head + d.payload) == 0
+    return d
+
+
+def test_udp_computed_zero_checksum_is_sent_as_all_ones():
+    d = _udp_summing_to_zero(5000, 7, b"abcd")
     raw = d.encode(SRC_IP, DST_IP)
     assert raw[6:8] == b"\xff\xff"
     assert wire.decode("udp", raw, src_ip=SRC_IP, dst_ip=DST_IP) == d
@@ -279,11 +288,69 @@ def _random_unit(rng, layer):
 
 @pytest.mark.parametrize("layer", ["ethernet", "arp", "ipv4", "icmp", "udp", "tcp"])
 def test_round_trip_random_units(layer):
-    rng = random.Random(hash(layer) & 0xFFFF)
+    rng = random.Random(f"codec:{layer}")
     for _ in range(1000):
         unit = _random_unit(rng, layer)
         raw = wire.encode(unit, src_ip=SRC_IP, dst_ip=DST_IP)
         assert wire.decode(layer, raw, src_ip=SRC_IP, dst_ip=DST_IP) == unit
+
+
+def _golden_units(layer):
+    rng = random.Random(f"golden:{layer}")
+    units = [_random_unit(rng, layer) for _ in range(40)]
+    if layer == "ipv4":
+        units += [
+            Ipv4Packet(src_ip=SRC_IP, dst_ip=DST_IP, protocol=17, payload=b"odd",
+                       identification=1, df=True),
+            Ipv4Packet(src_ip=SRC_IP, dst_ip=DST_IP, protocol=17, payload=bytes(1480),
+                       identification=2, mf=True),
+            Ipv4Packet(src_ip=SRC_IP, dst_ip=DST_IP, protocol=6, payload=b"tail!",
+                       identification=2, fragment_offset=185),
+            Ipv4Packet(src_ip=SRC_IP, dst_ip=DST_IP, protocol=1, payload=bytes(8),
+                       identification=0xFFFF, ttl=1, df=True, mf=True,
+                       fragment_offset=0x1FFF, dscp_ecn=0xB8),
+        ]
+    elif layer == "tcp":
+        units += [
+            TcpSegment(src_port=4000, dst_port=80, seq=1, flag_syn=True, mss=536),
+            TcpSegment(src_port=80, dst_port=4000, seq=9, ack=2, flag_syn=True,
+                       flag_ack=True, mss=1460),
+            TcpSegment(src_port=4000, dst_port=80, seq=2, ack=10, flag_ack=True,
+                       flag_psh=True, payload=b"odd"),
+            TcpSegment(src_port=4000, dst_port=80, seq=5, ack=10, window=0,
+                       flag_fin=True, flag_ack=True),
+        ]
+    elif layer == "udp":
+        units += [_udp_summing_to_zero(5000, 7, b"abcd"),
+                  UdpDatagram(src_port=53, dst_port=5353, payload=b"odd")]
+    return units
+
+
+# SHA-256 of each layer's golden units, encoded and concatenated; recorded
+# from the codecs before they moved to precompiled layouts
+GOLDEN_DIGESTS = {
+    "ethernet": "4f87ecf5c8c0c73b2520a103df32d5d110a956d39a120ffe290baa6c9ad78e77",
+    "arp": "2d90f6671d4d7378298ffc30f1e313530d1ce5936138f0685c754c55c9167fc7",
+    "ipv4": "6aba5d843f2e39eb3adde6f34c9a36a7aaa826ef441e45fb567610159628c423",
+    "icmp": "9ef01c390c83314d923b8e07757ec11c7a6ad6f72bad6cdd1176a3a3e14e487c",
+    "udp": "db0d3969cc35b83f609b686a038e386557dcb566070b40ea24bb61643a84b78d",
+    "tcp": "28809d99488f4aba79f33f02c54ef57e0b47b0999cf4af01e9567d8a7cfa4f23",
+}
+
+
+@pytest.mark.parametrize("layer", ["ethernet", "arp", "ipv4", "icmp", "udp", "tcp"])
+def test_encodings_match_the_recorded_bytes(layer):
+    units = _golden_units(layer)
+    raws = [wire.encode(unit, src_ip=SRC_IP, dst_ip=DST_IP) for unit in units]
+    assert hashlib.sha256(b"".join(raws)).hexdigest() == GOLDEN_DIGESTS[layer]
+    if layer == "udp":
+        assert raws[-2][6:8] == b"\xff\xff"  # the computed 0 goes out as its alias
+    for unit, raw in zip(units, raws):
+        for data in (raw, bytearray(raw), memoryview(raw)):
+            got = wire.decode(layer, data, src_ip=SRC_IP, dst_ip=DST_IP)
+            assert got == unit
+            carried = got.data if layer == "icmp" else getattr(got, "payload", b"")
+            assert type(carried) is bytes
 
 
 @pytest.mark.parametrize("layer", ["ethernet", "arp", "ipv4", "icmp", "udp", "tcp"])
