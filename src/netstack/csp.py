@@ -210,6 +210,19 @@ class TaskSet:
         with self._lock:
             return sorted(self._tasks.values())
 
+    def cpu_seconds(self) -> dict[str, float]:
+        """CPU seconds used by each running task, summed over tasks that share a name.
+
+        The clocks are read under the lock: a task leaves ``_tasks`` under
+        it before its thread ends, and an ended thread's clock is undefined.
+        """
+        out = {}
+        with self._lock:
+            for thread, name in self._tasks.items():
+                clock = time.pthread_getcpuclockid(thread.ident)
+                out[name] = out.get(name, 0.0) + time.clock_gettime(clock)
+        return out
+
     def join_all(self, timeout: float = 10.0) -> int:
         """Join every tracked task, also any spawned meanwhile; returns how many are left."""
         deadline = threading.TIMEOUT_MAX if timeout is None else timeout

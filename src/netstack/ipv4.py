@@ -3,10 +3,15 @@ and reassembly inside the dealer.
 
 The dealer owns the reassembly map and inserts every fragment itself,
 so a fragmented datagram costs no extra task and no extra hand-off.
-Every reassembly gets the same timeout from its first fragment, so the
-map's insertion order is also its deadline order: the dealer expires
-entries from the front on every turn of its loop, and its recv waits no
-longer than the first entry's deadline.
+The map is keyed by the plain tuple (source, destination, protocol,
+identification).  Each fragment is written once, in place, into its
+datagram's buffer, and its byte range is merged into the held ranges in
+one pass, so a fragment's cost does not grow with the fragments before
+it (RFC 815).  Every reassembly gets the same timeout from its first
+fragment, so the map's insertion order is also its deadline order:
+while any reassembly is pending, the dealer expires entries from the
+front on every turn of its loop, and its recv waits no longer than the
+first entry's deadline.
 """
 
 from __future__ import annotations
@@ -14,19 +19,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
 
 from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
 from netstack.errors import Closed, LengthError, NoRoute, Timeout, WireError
-
-
-@dataclass(frozen=True)
-class FragmentKey:
-    src_ip: bytes
-    dst_ip: bytes
-    protocol: int
-    identification: int
 
 
 def fragment_payload(payload: bytes, mtu: int) -> list[tuple[int, bool, bytes]]:
@@ -48,59 +44,79 @@ def fragment_payload(payload: bytes, mtu: int) -> list[tuple[int, bool, bytes]]:
     return out
 
 
+class _Refused(Exception):
+    """A fragment the reassembly will not take; discard drops the whole datagram."""
+
+    def __init__(self, counter: str, discard: bool = False):
+        super().__init__(counter)
+        self.counter = counter
+        self.discard = discard
+
+
 class _Assembler:
-    """One datagram's fragments, collected until coverage is complete."""
+    """One datagram's fragments, each written once into a growing buffer.
 
-    def __init__(self, key: FragmentKey, deadline: float, counters: Counters):
-        self.key = key
+    The buffer is as long as the furthest byte held; only a gap before a
+    fragment that starts beyond it is zero-filled.  A fragment is checked
+    only against the held ranges it overlaps, and a disagreeing one is
+    refused whole.  The datagram's end comes from its last fragment: a
+    second last fragment with another end, or a non-last one that ends
+    past it, is refused, and a last fragment that ends below bytes
+    already held discards the whole reassembly (RFC 791 §3.2).
+    """
+
+    __slots__ = ("deadline", "buffer", "ranges", "total")
+
+    def __init__(self, deadline: float):
         self.deadline = deadline
-        self.counters = counters
         self.buffer = bytearray()
-        self.intervals = []  # merged, sorted (start, end) byte ranges
-        self.total = None
+        self.ranges = []  # sorted, disjoint (start, end) byte ranges held
+        self.total = None  # the datagram's length, once its last fragment is in
 
-    def insert(self, fragment: wire.Ipv4Packet) -> wire.Ipv4Packet | None:
-        """Add one fragment; returns the whole datagram once it is complete."""
-        start = fragment.fragment_offset * 8
-        end = start + len(fragment.payload)
+    def insert(self, start: int, more: bool, payload: bytes) -> bytes | None:
+        """Add one fragment; returns the datagram's payload once it is complete.
+
+        Raises _Refused when the fragment is not taken.
+        """
+        end = start + len(payload)
         if end > 65535 - wire.IP_HEADER:  # the whole datagram must fit one IPv4 packet
-            self.counters.incr("ip.drop.oversize")
-            return None
-        if not fragment.mf:
-            if self.total is not None and self.total != end:
-                self.counters.incr("ip.drop.fragment_conflict")
-                return None
-            self.total = end
-        if len(self.buffer) < end:
-            self.buffer.extend(bytes(end - len(self.buffer)))
-        # a fragment disagreeing with bytes already in place is discarded whole
-        for s, e in self.intervals:
-            lo, hi = max(s, start), min(e, end)
-            if lo < hi and self.buffer[lo:hi] != fragment.payload[lo - start:hi - start]:
-                self.counters.incr("ip.drop.fragment_conflict")
-                return None
-        self.buffer[start:end] = fragment.payload
-        self._merge(start, end)
-        if self.total is not None and self.intervals == [(0, self.total)]:
-            whole = wire.Ipv4Packet(
-                src_ip=self.key.src_ip, dst_ip=self.key.dst_ip,
-                protocol=self.key.protocol, payload=bytes(self.buffer[:self.total]),
-                identification=self.key.identification,
-            )
-            self.counters.incr("ip.reassembly.completed")
-            return whole
+            raise _Refused("ip.drop.oversize")
+        buffer, ranges, total = self.buffer, self.ranges, self.total
+        held = len(buffer)  # the end of the last held range
+        if more:
+            if total is not None and end > total:
+                raise _Refused("ip.drop.fragment_conflict")
+        elif total is None:
+            if end < held:
+                raise _Refused("ip.drop.fragment_conflict", discard=True)
+            total = end
+        elif end != total:
+            raise _Refused("ip.drop.fragment_conflict")
+        # one pass: skip ranges wholly before the fragment, then check and
+        # absorb every range that overlaps or touches it
+        i = 0
+        while i < len(ranges) and ranges[i][1] < start:
+            i += 1
+        lo, hi = start, end
+        j = i
+        while j < len(ranges) and ranges[j][0] <= end:
+            s, e = ranges[j]
+            if s < lo:
+                lo = s
+            if e > hi:
+                hi = e
+            a, b = max(s, start), min(e, end)
+            if a < b and buffer[a:b] != payload[a - start:b - start]:
+                raise _Refused("ip.drop.fragment_conflict")
+            j += 1
+        if start > held:
+            buffer.extend(bytes(start - held))
+        buffer[start:end] = payload
+        ranges[i:j] = [(lo, hi)]
+        self.total = total
+        if lo == 0 and hi == total:  # no held range ends past total: this one is all
+            return bytes(buffer)
         return None
-
-    def _merge(self, start: int, end: int) -> None:
-        merged = sorted(self.intervals + [(start, end)])
-        out = [merged[0]]
-        for s, e in merged[1:]:
-            ls, le = out[-1]
-            if s <= le:
-                out[-1] = (ls, max(le, e))
-            else:
-                out.append((s, e))
-        self.intervals = out
 
 
 class Ipv4Layer:
@@ -121,7 +137,7 @@ class Ipv4Layer:
         self.inbound = MessageQueue(config.queue_capacity)
         self.dispatch_q = MessageQueue(config.queue_capacity)
         self.registry = BindingRegistry("ip", counters)  # protocol number -> queue
-        self._assemblers = {}  # FragmentKey -> _Assembler, dealer-owned, oldest first
+        self._assemblers = {}  # (src, dst, protocol, id) -> _Assembler, dealer-owned, oldest first
         self._ident = itertools.count(1)
         self._ident_lock = threading.Lock()
 
@@ -136,9 +152,10 @@ class Ipv4Layer:
     # --- inbound ---
 
     def _dealer_loop(self) -> None:
+        assemblers = self._assemblers
         while True:
             # expire on every turn: steady traffic must not keep a stale entry alive
-            timeout = self._expire(time.monotonic())
+            timeout = self._expire(time.monotonic()) if assemblers else None
             try:
                 msg = self.inbound.recv(timeout)
             except Timeout:
@@ -149,7 +166,7 @@ class Ipv4Layer:
                 return
             if isinstance(msg, wire.EthernetFrame):
                 try:
-                    packet = wire.decode("ipv4", msg.payload)
+                    packet = wire.Ipv4Packet.decode(msg.payload)
                 except WireError:
                     self.counters.incr("ip.drop.decode")
                     continue
@@ -160,10 +177,10 @@ class Ipv4Layer:
     def _expire(self, now: float) -> float | None:
         """Drop reassemblies past their deadline; returns the wait until the next."""
         while self._assemblers:
-            first = next(iter(self._assemblers.values()))
+            key, first = next(iter(self._assemblers.items()))
             if first.deadline > now:
                 return first.deadline - now
-            del self._assemblers[first.key]
+            del self._assemblers[key]
             self.counters.incr("ip.reassembly.timeout")
         return None
 
@@ -174,7 +191,7 @@ class Ipv4Layer:
         if packet.ttl == 0:
             self.counters.incr("ip.drop.ttl")
             return
-        if packet.is_fragment:
+        if packet.mf or packet.fragment_offset:
             self._reassemble(packet)
         else:
             self._forward(packet)
@@ -186,17 +203,24 @@ class Ipv4Layer:
             pass
 
     def _reassemble(self, packet: wire.Ipv4Packet) -> None:
-        key = FragmentKey(packet.src_ip, packet.dst_ip,
-                          packet.protocol, packet.identification)
+        key = (packet.src_ip, packet.dst_ip, packet.protocol, packet.identification)
         assembler = self._assemblers.get(key)
         if assembler is None:
-            assembler = _Assembler(key, time.monotonic() + self.reassembly_timeout_s,
-                                   self.counters)
-            self._assemblers[key] = assembler
-        whole = assembler.insert(packet)
+            assembler = self._assemblers[key] = _Assembler(
+                time.monotonic() + self.reassembly_timeout_s)
+        try:
+            whole = assembler.insert(packet.fragment_offset * 8, packet.mf, packet.payload)
+        except _Refused as refused:
+            self.counters.incr(refused.counter)
+            if refused.discard:
+                del self._assemblers[key]
+            return
         if whole is not None:
             del self._assemblers[key]
-            self._forward(whole)
+            self.counters.incr("ip.reassembly.completed")
+            # positional, in field order: addresses, protocol, payload, id
+            self._forward(wire.Ipv4Packet(packet.src_ip, packet.dst_ip, packet.protocol,
+                                          whole, packet.identification))
 
     def _reader_loop(self) -> None:
         for packet in self.dispatch_q:

@@ -24,8 +24,7 @@ class UdpSocket:
         if len(payload) > 65507:
             raise LengthError(f"udp payload of {len(payload)} bytes exceeds 65507")
         dst = addr.as_ip(dst_ip)
-        datagram = wire.UdpDatagram(src_port=self.port, dst_port=addr.as_port(dst_port),
-                                    payload=bytes(payload))
+        datagram = wire.UdpDatagram(self.port, addr.as_port(dst_port), bytes(payload))
         self._layer.ipv4.send(dst, wire.PROTO_UDP,
                               datagram.encode(self._layer.our_ip, dst))
 

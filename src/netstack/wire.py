@@ -5,9 +5,10 @@ and checksum fields itself rather than trusting the caller, decoding
 verifies them and never reads past the end of its input.  All layouts
 are network byte order.
 
-The Ethernet, IPv4, TCP and pseudo-header layouts are precompiled, one
-`struct.Struct` each; their decoders build units positionally, and the
-IPv4 and TCP encoders pack the header again with the checksum in place.
+The Ethernet, IPv4, UDP, TCP and pseudo-header layouts are precompiled,
+one `struct.Struct` each; their decoders build units positionally, and
+the IPv4, UDP and TCP encoders pack the header again with the checksum
+in place.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _URG = 0x20
 
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_UDP = struct.Struct("!HHHH")
 _TCP = struct.Struct("!HHIIBBHHH")
 _PSEUDO = struct.Struct("!4s4sBBH")
 
@@ -213,19 +215,21 @@ class UdpDatagram:
     payload: bytes = b""
 
     def encode(self, src_ip: bytes, dst_ip: bytes) -> bytes:
-        if len(self.payload) > 65507:
-            raise LengthError(f"udp payload of {len(self.payload)} bytes exceeds 65507")
-        head = struct.pack("!HHHH", self.src_port, self.dst_port, 8 + len(self.payload), 0)
-        c = transport_checksum(src_ip, dst_ip, PROTO_UDP, head + self.payload)
+        payload = self.payload
+        if len(payload) > 65507:
+            raise LengthError(f"udp payload of {len(payload)} bytes exceeds 65507")
+        sport, dport, length = self.src_port, self.dst_port, 8 + len(payload)
+        c = transport_checksum(src_ip, dst_ip, PROTO_UDP,
+                               _UDP.pack(sport, dport, length, 0) + payload)
         if c == 0:  # 0 means "unchecked" on the wire, so send its alias instead
             c = 0xFFFF
-        return head[:6] + struct.pack("!H", c) + self.payload
+        return _UDP.pack(sport, dport, length, c) + payload
 
     @classmethod
     def decode(cls, data: bytes, src_ip: bytes = None, dst_ip: bytes = None) -> "UdpDatagram":
         if len(data) < 8:
             raise _short(data, 8, "udp header")
-        sport, dport, length, csum = struct.unpack_from("!HHHH", data)
+        sport, dport, length, csum = _UDP.unpack_from(data)
         if length < 8:
             raise TruncatedFrame(f"udp length field {length} below header size")
         if len(data) < length:
@@ -233,7 +237,7 @@ class UdpDatagram:
         if csum != 0 and src_ip is not None and dst_ip is not None:
             if transport_checksum(src_ip, dst_ip, PROTO_UDP, data[:length]) != 0:
                 raise ChecksumMismatch("udp checksum")
-        return cls(src_port=sport, dst_port=dport, payload=bytes(data[8:length]))
+        return cls(sport, dport, bytes(data[8:length]))
 
 
 @dataclass

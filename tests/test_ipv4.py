@@ -10,7 +10,7 @@ from conftest import wait_until
 
 from netstack import addr, errors, wire
 from netstack.csp import MessageQueue
-from netstack.ipv4 import FragmentKey, fragment_payload
+from netstack.ipv4 import fragment_payload
 
 A_IP = addr.parse_ip("10.0.0.1")
 B_IP = addr.parse_ip("10.0.0.2")
@@ -107,6 +107,121 @@ def test_conflicting_overlap_is_dropped(rig):
         a.ipv4.inbound.send(("packet", pkt))
     assert q.recv(timeout=2.0).payload == payload
     assert a.counters.get("ip.drop.fragment_conflict") == 1
+
+
+def test_conflicting_overlap_in_the_middle_is_dropped(rig):
+    a, _b = rig()
+    q = _bind_test_proto(a)
+    payload = bytes(random.Random(9).randbytes(4000))
+    fragments = _encoded_fragments(payload, 1500)
+    # 200 bytes from 1400 on, across the first two fragments' boundary, all flipped
+    evil = wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=TEST_PROTO,
+                           payload=bytes(b ^ 0xFF for b in payload[1400:1600]),
+                           identification=41, mf=True, fragment_offset=1400 // 8)
+    for pkt in (fragments[1], fragments[0], evil, fragments[2]):
+        a.ipv4.inbound.send(("packet", pkt))
+    assert q.recv(timeout=2.0).payload == payload
+    assert a.counters.get("ip.drop.fragment_conflict") == 1
+    assert a.counters.get("ip.reassembly.completed") == 1
+
+
+def test_two_cuts_under_one_identification_deliver_once(rig):
+    a, _b = rig()
+    q = _bind_test_proto(a)
+    payload = bytes(random.Random(10).randbytes(4000))
+    coarse = _encoded_fragments(payload, 1500)  # 3 fragments
+    fine = _encoded_fragments(payload, 576)  # 8 fragments
+    interleaved = [pkt for pair in itertools.zip_longest(coarse, fine)
+                   for pkt in pair if pkt is not None]
+    for pkt in interleaved:
+        a.ipv4.inbound.send(("packet", pkt))
+    assert q.recv(timeout=2.0).payload == payload
+    with pytest.raises(errors.Timeout):
+        q.recv(timeout=0.3)
+    # the coarse cut completes the datagram at its third fragment; the fine
+    # fragments after it start a reassembly that never completes and expires
+    assert wait_until(lambda: a.ipv4.assembler_count() == 0, timeout=2.0)
+    assert a.counters.get("ip.reassembly.completed") == 1
+    assert a.counters.get("ip.drop.fragment_conflict") == 0
+
+
+def _stray_past_the_end(ident):
+    """A non-last fragment that starts where a 3000-byte datagram ends."""
+    return wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=TEST_PROTO,
+                           payload=bytes(1480), identification=ident,
+                           mf=True, fragment_offset=3000 // 8)
+
+
+def test_last_fragment_below_held_bytes_discards_the_reassembly(rig):
+    # a long timeout, so only the discard can end the reassembly in time
+    a, _b = rig(a_over={"reassembly_timeout_ms": 30_000})
+    q = _bind_test_proto(a)
+    payload = bytes(random.Random(11).randbytes(3000))
+    fragments = _encoded_fragments(payload, 1500)
+    for pkt in (fragments[0], _stray_past_the_end(41), fragments[-1]):
+        a.ipv4.inbound.send(("packet", pkt))
+    assert wait_until(lambda: a.counters.get("ip.drop.fragment_conflict") == 1, timeout=1.0)
+    assert a.ipv4.assembler_count() == 0
+    assert a.counters.get("ip.reassembly.timeout") == 0
+    with pytest.raises(errors.Timeout):
+        q.recv(timeout=0.2)
+
+
+def test_fragment_past_a_known_end_is_dropped_alone(rig):
+    a, _b = rig(a_over={"reassembly_timeout_ms": 30_000})
+    q = _bind_test_proto(a)
+    payload = bytes(random.Random(12).randbytes(3000))
+    fragments = _encoded_fragments(payload, 1500)
+    for pkt in (fragments[-1], _stray_past_the_end(41), *fragments[:-1]):
+        a.ipv4.inbound.send(("packet", pkt))
+    assert q.recv(timeout=2.0).payload == payload
+    assert a.counters.get("ip.drop.fragment_conflict") == 1
+    assert wait_until(lambda: a.ipv4.assembler_count() == 0)
+
+
+def _random_fragment_plan(rng, size):
+    """Fragments that cover size bytes: a random cut on 8-byte boundaries,
+    plus agreeing overlaps and duplicates, shuffled.
+
+    One fragment of the cut, sent last, is covered by nothing else, so the
+    datagram completes with the last fragment sent and leaves no reassembly.
+    """
+    cuts = sorted(rng.sample(range(8, size, 8), min(rng.randrange(1, 12), (size - 1) // 8)))
+    bounds = [0, *cuts, size]
+    pieces = list(zip(bounds, bounds[1:]))
+    final = rng.choice(pieces)
+    extras = []
+    for lo, hi in ((0, final[0]), (final[1], size)):  # the bytes around the final piece
+        for _ in range(rng.randrange(0, 4) if hi > lo else 0):
+            start = rng.randrange(lo, hi, 8)
+            end = rng.choice([*range(start + 8, hi, 8), hi])
+            if (start, end) != (0, size):  # that would be an unfragmented datagram
+                extras.append((start, end))
+    spans = [p for p in pieces if p != final] + extras
+    spans += rng.sample(spans, min(len(spans), rng.randrange(0, 4)))  # duplicates
+    rng.shuffle(spans)
+    return spans + [final]
+
+
+def test_random_cuts_overlaps_and_duplicates_reassemble(rig):
+    a, _b = rig()
+    q = _bind_test_proto(a)
+    rng = random.Random(815)
+    sizes = [1, 8, 9, 16, 17, 65515] + [rng.randrange(1, 65516) for _ in range(40)]
+    fragmented = 0
+    for ident, size in enumerate(sizes):
+        payload = bytes(rng.randbytes(size))
+        spans = _random_fragment_plan(rng, size)
+        fragmented += len(spans) > 1
+        for start, end in spans:
+            pkt = wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=TEST_PROTO,
+                                  payload=payload[start:end], identification=ident,
+                                  mf=end < size, fragment_offset=start // 8)
+            a.ipv4.inbound.send(("packet", pkt))
+        assert q.recv(timeout=3.0).payload == payload, f"size {size}, spans {spans}"
+        assert a.ipv4.assembler_count() == 0, f"size {size}, spans {spans}"
+    assert a.counters.get("ip.reassembly.completed") == fragmented
+    assert a.counters.get("ip.drop.fragment_conflict") == 0
 
 
 def test_incomplete_reassembly_expires_without_delivery(rig):

@@ -138,3 +138,19 @@ def test_layers_keep_working_while_udp_socket_stalls(rig):
     conn.send(b"still moving")
     assert serv.recv(timeout=2.0) == b"still moving"
     assert stalled.recv_from(timeout=1.0)  # its queue did keep some
+
+
+def test_cpu_seconds_names_every_task_and_charges_the_ip_dealer(rig):
+    a, b = rig()
+    server = b.udp.bind(4010)
+    client = a.udp.bind(0)
+    payload = bytes(range(256)) * 32  # 8192 bytes: 6 fragments each way
+    for _ in range(20):
+        client.send_to(B_IP, 4010, payload)
+        src_ip, src_port, got = server.recv_from(timeout=3.0)
+        server.send_to(src_ip, src_port, got)
+        assert client.recv_from(timeout=3.0)[2] == payload
+    for s in (a, b):
+        cpu = s.tasks.cpu_seconds()
+        assert set(cpu) == set(s.tasks.names())
+        assert cpu["ip-dealer"] > cpu["arp-dealer"], cpu
