@@ -24,11 +24,13 @@ port opens a new child.
 Each connection's TCB is owned by a single task.  The TCP dealer hands
 it segments through a bounded inbox, and the application's send and
 close calls leave work in the TCB.  Each turn of the task waits once,
-for a segment, for send work or for the connection's earliest deadline.
-It then handles every queued segment, fires the timers that are due
-(the TIME_WAIT or half-open handshake deadline, and the connection's one
-retransmission timer), cuts every segment the window allows, and emits
-all of it outside the lock.
+for a segment, for send work or for the connection's earliest deadline,
+and reads the clock once.  ``Tcb._turn(inbox, now)`` is the core: it
+handles every queued segment, fires the timers due at ``now`` (the
+TIME_WAIT or half-open handshake deadline, and the connection's one
+retransmission timer), cuts every segment the window allows, and returns
+what the task emits outside the lock.  No handler reads the clock, so a
+test drives ``_turn`` with no thread and a hand-advanced ``now``.
 
 The ledger holds the in-flight segments in send order.  As in RFC 6298,
 one timer covers them all: a timeout resends only the oldest and doubles
@@ -41,8 +43,8 @@ one RTO per hole.
 An in-order data segment that arrives while no out-of-order data is held
 is not acknowledged on its own: it sets ``_ack_owed``, and the turn ends
 with one cumulative ACK, or with none if it cut a segment, which carries
-``rcv_nxt`` anyway.  A FIN, and any segment that arrives in TIME_WAIT,
-are acknowledged the same way.  RFC 5681 §4.2 lets a receiver combine
+``rcv_nxt`` anyway.  A FIN, and any text or FIN that follows it, are
+acknowledged the same way.  RFC 5681 §4.2 lets a receiver combine
 ACKs, and the same section asks for an immediate ACK of a segment that
 is out of order, fills a hole, or falls outside the window; those keep
 theirs, so after a loss the sender hears of each step at once.  The ACK
@@ -179,10 +181,10 @@ class Tcb:
         except NetstackError:
             self.layer.counters.incr("tcp.drop.unroutable")
 
-    def _register_inflight(self, end: int, raw: bytes) -> None:
+    def _register_inflight(self, end: int, raw: bytes, now: float) -> None:
         # the first segment in flight starts the timer; the rest ride on it
         if not self.ledger:
-            self._rtx_deadline = time.monotonic() + self._rto
+            self._rtx_deadline = now + self._rto
         self.ledger.append((end, raw))
 
     # --- the connection task ---
@@ -204,25 +206,13 @@ class Tcb:
         return True
 
     def run(self) -> None:
-        """Own the TCB until it closes: one wait, then one batch per turn."""
+        """Own the TCB until it closes: one wait, then one turn."""
         while True:
-            out = []
             with self._lock:
                 self._wait_for_work()
                 inbox, self._inbox = self._inbox, []
-                for seg in inbox:
-                    self._handle(seg, out)
-                self._fire_timers(out)
-                cut = self._can_cut()
-                while self._can_cut():
-                    out.append(self._cut_segment_locked())
+                out = self._turn(inbox, time.monotonic())
                 finished = self.state is TcbState.CLOSED
-                if self._ack_owed:
-                    self._ack_owed = False
-                    if not (cut or finished):  # a cut segment carries rcv_nxt
-                        self._pure_ack(out)
-                if finished:
-                    self.ledger.clear()
             for raw in out:
                 self._emit(raw)
             if finished:
@@ -243,13 +233,31 @@ class Tcb:
                 return
             self._work.wait(remaining)
 
+    def _turn(self, inbox: list, now: float) -> list[bytes]:
+        """Handle a batch, fire the timers due at now, cut what the window
+        allows and end with at most one ACK; the segments to emit."""
+        out = []
+        for seg in inbox:
+            self._handle(seg, now, out)
+        self._fire_timers(now, out)
+        cut = self._can_cut()
+        while self._can_cut():
+            out.append(self._cut_segment_locked(now))
+        finished = self.state is TcbState.CLOSED
+        if self._ack_owed:
+            self._ack_owed = False
+            if not (cut or finished):  # a cut segment carries rcv_nxt
+                self._pure_ack(out)
+        if finished:
+            self.ledger.clear()
+        return out
+
     def _next_deadline(self) -> float | None:
         deadlines = [d for d in (self._rtx_deadline, self._state_deadline)
                      if d is not None]
         return min(deadlines, default=None)
 
-    def _fire_timers(self, out: list) -> None:
-        now = time.monotonic()
+    def _fire_timers(self, now: float, out: list) -> None:
         if self._state_deadline is not None and now >= self._state_deadline:
             if self.state is TcbState.SYN_RCVD:
                 # the peer never completed the handshake; reap silently
@@ -275,12 +283,12 @@ class Tcb:
 
     # --- the state machine, called with the lock held ---
 
-    def _handle(self, seg: wire.TcpSegment, out: list) -> None:
+    def _handle(self, seg: wire.TcpSegment, now: float, out: list) -> None:
         if self.state is TcbState.CLOSED:
             return
 
         if self.state is TcbState.SYN_SENT:
-            self._handle_syn_sent(seg, out)
+            self._handle_syn_sent(seg, now, out)
             return
 
         if seg.flag_rst:
@@ -314,12 +322,16 @@ class Tcb:
                 self._abort_locked(ConnectionReset("listener closed"), out)
                 return
 
-        self._process_ack(seg.ack, out)
+        if seq_lt(self.snd_nxt, seg.ack):
+            self._pure_ack(out)  # it acknowledges data never sent: drop it (§3.10.7.4)
+            return
+
+        self._process_ack(seg.ack, now, out)
 
         if self.fin_seq is not None and seq_le(seq_add(self.fin_seq, 1), self.snd_una):
             if self.state is TcbState.FIN_WAIT_1:
                 if self.remote_fin_done:
-                    self._enter_time_wait()
+                    self._enter_time_wait(now)
                 else:
                     self._enter(TcbState.FIN_WAIT_2)
             elif self.state is TcbState.LAST_ACK:
@@ -327,9 +339,9 @@ class Tcb:
                 return
 
         if seg.payload or seg.flag_fin:
-            self._process_data(seg, out)
+            self._process_data(seg, now, out)
 
-    def _handle_syn_sent(self, seg: wire.TcpSegment, out: list) -> None:
+    def _handle_syn_sent(self, seg: wire.TcpSegment, now: float, out: list) -> None:
         if seg.flag_rst:
             if seg.flag_ack and seg.ack == self.snd_nxt:
                 self._reset_locked(ConnectionRefused(
@@ -338,7 +350,7 @@ class Tcb:
         if seg.flag_syn and seg.flag_ack and seg.ack == self.snd_nxt:
             self._take_peer_mss(seg)
             self.rcv_nxt = seq_add(seg.seq, 1)
-            self._process_ack(seg.ack, out)
+            self._process_ack(seg.ack, now, out)
             self._enter(TcbState.ESTABLISHED)
             self._pure_ack(out)
 
@@ -348,7 +360,7 @@ class Tcb:
         # cutting empty segments would never end
         self.mss = min(self.layer.mss, syn.mss or _DEFAULT_MSS)
 
-    def _process_ack(self, ack: int, out: list) -> None:
+    def _process_ack(self, ack: int, now: float, out: list) -> None:
         if not (seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_nxt)):
             return
         self.snd_una = ack
@@ -356,19 +368,19 @@ class Tcb:
             self.ledger.popleft()
         self._rto = self.layer.rto_s
         self._timeouts = 0
-        self._rtx_deadline = time.monotonic() + self._rto if self.ledger else None
+        self._rtx_deadline = now + self._rto if self.ledger else None
         if self._recover is not None:
             if seq_lt(ack, self._recover):
                 self._resend_oldest(out)  # partial ACK: the next hole is lost too
             else:
                 self._recover = None
 
-    def _process_data(self, seg: wire.TcpSegment, out: list) -> None:
-        if self.state is TcbState.TIME_WAIT:
-            if seg.flag_fin:
-                # the peer lost our ACK of its FIN: restart the 2 MSL wait
-                # (RFC 9293 §3.10.7.4)
-                self._state_deadline = time.monotonic() + self.layer.time_wait_s
+    def _process_data(self, seg: wire.TcpSegment, now: float, out: list) -> None:
+        if self.remote_fin_done:
+            # RFC 9293 §3.10.7.4 takes no text after the peer's FIN; a FIN
+            # again in TIME_WAIT means our ACK of it was lost: restart 2 MSL
+            if seg.flag_fin and self.state is TcbState.TIME_WAIT:
+                self._state_deadline = now + self.layer.time_wait_s
             self._ack_owed = True
             return
         data = seg.payload
@@ -398,7 +410,7 @@ class Tcb:
                 if self.state is TcbState.ESTABLISHED:
                     self._enter(TcbState.CLOSE_WAIT)
                 elif self.state is TcbState.FIN_WAIT_2:
-                    self._enter_time_wait()
+                    self._enter_time_wait(now)
                 # in FIN_WAIT_1 we hold position until our own FIN is acked
                 self._cond.notify_all()
             self._ack_owed = True
@@ -412,8 +424,8 @@ class Tcb:
             self.recv_buf.extend(chunk)
             self.rcv_nxt = seq_add(self.rcv_nxt, len(chunk))
 
-    def _enter_time_wait(self) -> None:
-        self._state_deadline = time.monotonic() + self.layer.time_wait_s
+    def _enter_time_wait(self, now: float) -> None:
+        self._state_deadline = now + self.layer.time_wait_s
         self._enter(TcbState.TIME_WAIT)
 
     def _reset_locked(self, error: Exception) -> None:
@@ -435,21 +447,21 @@ class Tcb:
         return (self.state in _SENDING and len(self.ledger) < self.window_segments
                 and (self.fin_requested or len(self.send_buf) > 0))
 
-    def _cut_segment_locked(self) -> bytes:
+    def _cut_segment_locked(self, now: float) -> bytes:
         if self.send_buf:
             chunk = bytes(self.send_buf[:self.mss])
             del self.send_buf[:len(chunk)]
             seq = self.snd_nxt
             self.snd_nxt = seq_add(seq, len(chunk))
             raw = self._segment(seq, payload=chunk)
-            self._register_inflight(self.snd_nxt, raw)
+            self._register_inflight(self.snd_nxt, raw, now)
             self._cond.notify_all()  # send() may be waiting for buffer room
             return raw
         seq = self.snd_nxt
         self.snd_nxt = seq_add(seq, 1)
         self.fin_seq = seq
         raw = self._segment(seq, fin=True)
-        self._register_inflight(self.snd_nxt, raw)
+        self._register_inflight(self.snd_nxt, raw, now)
         if self.state is TcbState.ESTABLISHED:
             self._enter(TcbState.FIN_WAIT_1)
         elif self.state is TcbState.CLOSE_WAIT:
@@ -466,12 +478,13 @@ class Tcb:
         """
         iss = self.layer.pick_isn()
         with self._lock:
+            now = time.monotonic()
             if syn is None:
                 self._enter(TcbState.SYN_SENT)
             elif self.state is TcbState.LISTEN:
                 self._take_peer_mss(syn)
                 self.rcv_nxt = seq_add(syn.seq, 1)
-                self._state_deadline = time.monotonic() + self.layer.handshake_timeout_s
+                self._state_deadline = now + self.layer.handshake_timeout_s
                 self._enter(TcbState.SYN_RCVD)
             raw = None
             if self.state is not TcbState.CLOSED:
@@ -479,7 +492,7 @@ class Tcb:
                 self.snd_nxt = seq_add(iss, 1)
                 raw = self._segment(iss, syn=True, with_ack=syn is not None,
                                     mss=self.layer.mss)
-                self._register_inflight(self.snd_nxt, raw)
+                self._register_inflight(self.snd_nxt, raw, now)
         if raw is not None:
             self._emit(raw)
         self.layer.tasks.spawn(f"tcp-conn-{self.local[1]}", self.run)

@@ -143,10 +143,6 @@ class Ipv4Packet:
     fragment_offset: int = 0  # in 8-byte units
     dscp_ecn: int = 0
 
-    @property
-    def is_fragment(self) -> bool:
-        return self.mf or self.fragment_offset != 0
-
     def encode(self) -> bytes:
         payload = self.payload
         if len(payload) > 65515:

@@ -1,11 +1,15 @@
-"""Shared rigs: linked stack pairs with short timers, plus a scripted peer."""
+"""Shared rigs: linked stack pairs with short timers, a scripted peer, and a
+TCB on a stub layer that tests drive without threads."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from netstack import errors, link, stack, wire
+from netstack import addr, errors, link, stack, wire
 from netstack.config import StackConfig
+from netstack.csp import Counters
+from netstack.tcp import Tcb, TcbState
 
 A_IP, B_IP = "10.0.0.1", "10.0.0.2"
 
@@ -181,3 +185,30 @@ class ScriptedPeer:
             self.send_tcp(dst_ip, dst_mac, src_port=src_port, dst_port=dst_port,
                           seq=(seq + 1) % 2**32, ack=their_next, flag_ack=True)
         return their_next
+
+
+def stub_tcb(iss: int = 1000, irs: int = 5000, mss: int = 1460, window_segments: int = 32,
+             rto_s: float = 1.0, time_wait_s: float = 10.0) -> Tcb:
+    """An ESTABLISHED TCB with nothing in flight, on a stub layer.
+
+    The layer holds only what the state machine reads: counters, the MSS,
+    the window and the timer settings.  It has no TaskSet and no wire, so
+    the test drives ``Tcb._turn(inbox, now)`` itself and reads what it
+    returns.  ``snd_una`` and ``snd_nxt`` start at iss, ``rcv_nxt`` at irs.
+    """
+    layer = SimpleNamespace(counters=Counters(), mss=mss, window_segments=window_segments,
+                            rto_s=rto_s, time_wait_s=time_wait_s)
+    tcb = Tcb(layer, local=(addr.parse_ip(A_IP), 7000), remote=(addr.parse_ip(B_IP), 6000))
+    tcb.state = TcbState.ESTABLISHED
+    tcb.history = [tcb.state]
+    tcb.snd_una = tcb.snd_nxt = iss
+    tcb.rcv_nxt = irs
+    return tcb
+
+
+def peer_segment(tcb: Tcb, seq: int, payload: bytes = b"", ack: int = None,
+                 **flags) -> wire.TcpSegment:
+    """A segment from tcb's peer; it acknowledges ``snd_nxt`` unless told otherwise."""
+    return wire.TcpSegment(src_port=tcb.remote[1], dst_port=tcb.local[1], seq=seq,
+                           ack=tcb.snd_nxt if ack is None else ack, flag_ack=True,
+                           payload=payload, **flags)

@@ -7,10 +7,12 @@ import time
 
 import pytest
 
-from conftest import ScriptedPeer, tcp_task_names, wait_until
+from conftest import ScriptedPeer, peer_segment, stub_tcb, tcp_task_names, wait_until
 
 from netstack import addr, errors, wire
-from netstack.tcp import TcbState
+from netstack.tcp import TcbState, seq_add, seq_le
+
+from test_acceptance import LEGAL_EDGES
 
 A_IP = addr.parse_ip("10.0.0.1")
 B_IP = addr.parse_ip("10.0.0.2")
@@ -32,7 +34,7 @@ def _spy_data_segments(stack_obj, record):
             eth = wire.decode("ethernet", frame_bytes)
             if eth.ethertype == wire.ETHERTYPE_IPV4:
                 pkt = wire.decode("ipv4", eth.payload)
-                if pkt.protocol == wire.PROTO_TCP and not pkt.is_fragment:
+                if pkt.protocol == wire.PROTO_TCP and not (pkt.mf or pkt.fragment_offset):
                     seg = wire.decode("tcp", pkt.payload)
                     if seg.payload:
                         record.append(len(seg.payload))
@@ -791,7 +793,8 @@ def test_handshake_completing_as_the_listener_closes_is_reset(solo):
         assert wait_until(lambda: listener.accept_q._closed)
         # the ACK's turn runs before close() can reset the child
         child._handle(wire.TcpSegment(src_port=6007, dst_port=7114, seq=3001,
-                                      ack=their_next, flag_ack=True), out)
+                                      ack=their_next, flag_ack=True),
+                      time.monotonic(), out)
     closer.join(timeout=2.0)
     assert not closer.is_alive()
     [rst] = [wire.decode("tcp", raw) for raw in out]
@@ -851,3 +854,98 @@ def test_duplicate_syn_in_syn_rcvd_resends_the_syn_ack(solo):
     again = peer.expect_tcp(timeout=1.0)  # well before the 3 s RTO
     assert again.flag_syn and again.flag_ack
     assert again.seq == (their_next - 1) % 2**32 and again.ack == 4001
+
+
+# --- the TCP core driven by hand: no thread, no timer, now advanced by the test ---
+
+
+def test_text_after_the_peers_fin_is_acknowledged_not_taken():
+    tcb = stub_tcb()
+    irs = tcb.rcv_nxt
+    tcb._turn([peer_segment(tcb, irs, b"hello")], 0.0)
+    tcb._turn([peer_segment(tcb, seq_add(irs, 5), flag_fin=True)], 0.0)
+    assert tcb.state is TcbState.CLOSE_WAIT
+    out = tcb._turn([peer_segment(tcb, seq_add(irs, 6), b"AFTER-EOF")], 0.0)
+    assert tcb.recv_buf == b"hello"
+    [ack] = [wire.decode("tcp", raw) for raw in out]
+    assert ack.flag_ack and not ack.payload and ack.ack == seq_add(irs, 6)
+
+
+def test_segment_acknowledging_unsent_data_is_answered_and_dropped():
+    tcb = stub_tcb()
+    rcv_nxt, snd_nxt = tcb.rcv_nxt, tcb.snd_nxt
+    out = tcb._turn([peer_segment(tcb, rcv_nxt, b"bogus", ack=seq_add(snd_nxt, 5000))], 0.0)
+    assert tcb.recv_buf == b"" and tcb.rcv_nxt == rcv_nxt
+    [ack] = [wire.decode("tcp", raw) for raw in out]
+    assert ack.flag_ack and not ack.payload
+    assert (ack.seq, ack.ack) == (snd_nxt, rcv_nxt)
+    assert tcb.layer.counters.get("tcp.tx.pure_ack") == 1
+
+
+def _one_stream_case(rng: random.Random) -> None:
+    """Cuts, duplicates and reorderings of one stream ending in a FIN, text
+    after that FIN, and random ACKs, against a TCB that sends too; now moves
+    by hand."""
+    tcb = stub_tcb(iss=rng.getrandbits(32), irs=rng.getrandbits(32), mss=64,
+                   window_segments=4, time_wait_s=2.0)
+    irs = tcb.rcv_nxt
+    stream = rng.randbytes(rng.randrange(1, 1500))
+    tcb.send_buf.extend(rng.randbytes(rng.randrange(0, 800)))
+    cuts = sorted(rng.sample(range(1, len(stream)), min(len(stream) - 1, rng.randrange(12))))
+    cuts.append(len(stream))
+    pieces = [(start, stream[start:end]) for start, end in zip([0] + cuts, cuts)]
+    pieces.append((len(stream), None))  # the FIN
+    after_eof = (len(stream) + 1, b"AFTER-EOF")
+    schedule = pieces + [rng.choice(pieces + [after_eof])
+                         for _ in range(rng.randrange(0, 40 - len(pieces)))]
+    for _ in range(rng.randrange(0, len(schedule))):
+        i, j = rng.randrange(len(schedule)), rng.randrange(len(schedule))
+        schedule[i], schedule[j] = schedule[j], schedule[i]
+
+    def segment(start, data, ack):
+        if data is None:
+            return peer_segment(tcb, seq_add(irs, start), ack=ack, flag_fin=True)
+        return peer_segment(tcb, seq_add(irs, start), data, ack=ack)
+
+    now = 0.0
+    close_at = rng.randrange(-20, len(schedule))  # the application closes, or never
+    while schedule:
+        taken = rng.randrange(1, 4)
+        batch, schedule = schedule[:taken], schedule[taken:]
+        in_flight = (tcb.snd_nxt - tcb.snd_una) % 2**32
+        # a duplicate, some progress, data never sent, or anything at all
+        acks = [tcb.snd_una, seq_add(tcb.snd_una, rng.randrange(in_flight + 1)),
+                seq_add(tcb.snd_nxt, rng.randrange(1, 5000)), rng.getrandbits(32)]
+        inbox = [segment(start, data, rng.choices(acks, weights=(3, 6, 1, 1))[0])
+                 for start, data in batch]
+        if close_at == len(schedule):
+            tcb.close()
+        tcb._turn(inbox, now)
+        now += rng.choice((0.0, 0.1, 0.6, 1.5))
+        assert len(tcb.ooo) <= tcb.window_segments
+        assert len(tcb.ledger) <= tcb.window_segments
+        assert seq_le(tcb.snd_una, tcb.snd_nxt)
+        assert stream.startswith(tcb.recv_buf)
+    # the peer sends the whole stream again, in order, and text after its FIN
+    tcb._turn([segment(start, data, tcb.snd_una) for start, data in pieces + [after_eof]], now)
+    assert stream.startswith(tcb.recv_buf)
+    assert tcb.remote_fin_done or tcb.state is TcbState.CLOSED
+    if tcb.remote_fin_done:
+        assert tcb.recv_buf == stream
+    for edge in zip(tcb.history, tcb.history[1:]):
+        assert edge in LEGAL_EDGES, f"illegal transition {edge} in {tcb.history}"
+
+
+def test_seeded_segment_orders_keep_the_core_legal_and_the_stream_exact(monkeypatch):
+    """500 seeded cases of up to 40 segments through Tcb._turn: every edge
+    legal, queues within the window, snd_una at or before snd_nxt, recv_buf
+    a prefix of the stream; nothing raises, no thread starts, under 5 s."""
+
+    def no_threads(_thread):
+        raise AssertionError("the TCP core started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    started = time.perf_counter()
+    for seed in range(500):
+        _one_stream_case(random.Random(seed))
+    assert time.perf_counter() - started < 5.0
