@@ -6,7 +6,6 @@ two stacks in one process and a benchmark harness on top of it.
 """
 
 from netstack.config import StackConfig, load_config
-from netstack.stack import Stack, linked_stacks, stack_down, stack_up
+from netstack.stack import Stack, linked_stacks, stack_up
 
-__all__ = ["Stack", "StackConfig", "linked_stacks", "load_config",
-           "stack_down", "stack_up"]
+__all__ = ["Stack", "StackConfig", "linked_stacks", "load_config", "stack_up"]

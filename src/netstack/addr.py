@@ -59,10 +59,6 @@ def parse_mac(text: str) -> bytes:
     return bytes(octets)
 
 
-def format_mac(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 def ip_to_int(ip: bytes) -> int:
     return int.from_bytes(ip, "big")
 

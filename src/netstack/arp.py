@@ -8,7 +8,9 @@ goes to the dealer as a message, and the resolver blocks on a private
 reply queue until the answer or the timeout arrives.  Concurrent
 resolutions of one address share a single pending entry, so the wire
 sees at most MAX_REQUESTS requests no matter how many callers are
-waiting.
+waiting.  A resolver that may not wait, a dealer answering a peer,
+fails on a miss instead and sends no request, so a spoofed source can
+neither stall that dealer nor grow the pending table.
 """
 
 from __future__ import annotations
@@ -51,12 +53,14 @@ class ArpLayer:
         self.eth.registry.bind(wire.ETHERTYPE_ARP, self.inbound)
         self.tasks.spawn("arp-dealer", self._dealer_loop)
 
-    def resolve(self, ip: bytes) -> bytes:
-        """Block until ip maps to a MAC; raise ResolutionTimeout otherwise."""
+    def resolve(self, ip: bytes, wait: bool = True) -> bytes:
+        """ip's MAC, or ResolutionTimeout; a miss waits on the dealer only if wait."""
         ip = bytes(ip)
         cached = self._published.get(ip)
         if cached is not None and time.monotonic() - cached[1] < self.cache_ttl_s:
             return cached[0]
+        if not wait:
+            raise ResolutionTimeout(f"{addr.format_ip(ip)} is not cached")
         reply_q = MessageQueue(1)
         try:
             self.inbound.send(("resolve", ip, reply_q))

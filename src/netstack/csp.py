@@ -23,7 +23,7 @@ import threading
 import time
 from collections import deque
 
-from netstack.errors import AlreadyBound, Closed, ConfigError, NotBound, Timeout
+from netstack.errors import AlreadyBound, Closed, ConfigError, Timeout
 
 
 class Condition(threading.Condition):
@@ -150,12 +150,6 @@ class BindingRegistry:
                 raise AlreadyBound(f"{self.name}: key {key!r} already bound")
             self._map[key] = queue
 
-    def unbind(self, key) -> None:
-        with self._lock:
-            if key not in self._map:
-                raise NotBound(f"{self.name}: key {key!r} not bound")
-            del self._map[key]
-
     def close(self) -> None:
         """Close every bound queue; the task that fed them has ended."""
         with self._lock:
@@ -163,13 +157,10 @@ class BindingRegistry:
         for queue in queues:
             queue.close()
 
-    def lookup(self, key) -> MessageQueue | None:
-        with self._lock:
-            return self._map.get(key)
-
     def dispatch(self, key, msg) -> bool:
         """Forward msg to the queue bound for key; unbound keys count a drop."""
-        queue = self.lookup(key)
+        with self._lock:
+            queue = self._map.get(key)
         if queue is None:
             self._counters.incr(f"{self.name}.drop.unbound")
             return False

@@ -55,10 +55,6 @@ class AlreadyBound(NetstackError):
     """Key (ethertype, protocol, port, 4-tuple) already has a binding."""
 
 
-class NotBound(NetstackError):
-    """Unbind of a key that has no binding."""
-
-
 class NotRunning(NetstackError):
     """Stack operation on a handle that is already shut down."""
 
@@ -66,7 +62,7 @@ class NotRunning(NetstackError):
 # --- protocol errors --------------------------------------------------------
 
 class ResolutionTimeout(NetstackError):
-    """ARP request went unanswered through all retries."""
+    """ARP went unanswered through all retries, or a no-wait caller found no entry."""
 
 
 class NoRoute(NetstackError):

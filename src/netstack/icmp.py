@@ -3,8 +3,8 @@
 The dealer builds and sends each reply itself, inline, as the TCP dealer
 sends a refusal.  A requester has to ARP us before it can ping us, and the
 ARP dealer caches the sender of every ARP packet aimed at us, so resolving
-the reply's next hop is normally a hit on the published cache; a miss
-waits in the dealer.
+the reply's next hop is normally a hit on the published cache.  A miss
+does not wait: the reply is dropped as ``icmp.drop.reply_unroutable``.
 An echo reply goes to the pinger waiting on its (identifier, sequence).
 When the dealer's inbox ends, it closes every pinger's reply queue and
 takes no more waiters, so a ping in flight at teardown, or started after
@@ -90,7 +90,7 @@ class IcmpPing:
                               sequence=request.sequence,
                               data=request.data)
         try:
-            self.ipv4.send(src, wire.PROTO_ICMP, reply.encode())
+            self.ipv4.send(src, wire.PROTO_ICMP, reply.encode(), wait=False)
         except NetstackError:
             self.counters.incr("icmp.drop.reply_unroutable")
 

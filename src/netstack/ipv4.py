@@ -233,8 +233,8 @@ class Ipv4Layer:
         with self._ident_lock:
             return next(self._ident) & 0xFFFF
 
-    def send(self, dst: bytes, protocol: int, payload: bytes) -> None:
-        """Route, resolve, fragment if needed, and emit one datagram."""
+    def send(self, dst: bytes, protocol: int, payload: bytes, wait: bool = True) -> None:
+        """Route, resolve (an ARP miss fails at once unless wait), fragment, emit."""
         if len(payload) > 65515:
             raise LengthError(f"ip payload of {len(payload)} bytes exceeds 65515")
         dst = bytes(dst)
@@ -248,7 +248,7 @@ class Ipv4Layer:
             except Closed:
                 pass
             return
-        dst_mac = self._resolve_next_hop(dst)
+        dst_mac = self._resolve_next_hop(dst, wait)
         ident = self.next_identification()
         for offset_units, more, chunk in fragment_payload(payload, self.mtu):
             # positional, in field order: addresses, protocol, payload, id, ttl, DF, MF, offset
@@ -256,7 +256,7 @@ class Ipv4Layer:
                                      ident, 64, False, more, offset_units)
             self.eth.send(dst_mac, wire.ETHERTYPE_IPV4, packet.encode())
 
-    def _resolve_next_hop(self, dst: bytes) -> bytes:
+    def _resolve_next_hop(self, dst: bytes, wait: bool) -> bytes:
         if dst in self.broadcasts:
             return addr.BROADCAST_MAC
         if addr.ip_to_int(dst) & self._mask == self._subnet:
@@ -265,4 +265,4 @@ class Ipv4Layer:
             next_hop = self.gateway
         else:
             raise NoRoute(f"{addr.format_ip(dst)} is off-subnet and no gateway is set")
-        return self.arp.resolve(next_hop)
+        return self.arp.resolve(next_hop, wait)

@@ -1,7 +1,7 @@
 """Stack assembly and lifecycle.
 
 stack_up wires the layers together bottom-to-top and spawns their
-tasks; stack_down closes the device and waits for the task census to
+tasks; Stack.down closes the device and waits for the task census to
 reach zero.  Closing follows the data path: each task stops when its
 input closes and closes the queues it feeds, so the link reader ends
 the Ethernet dealer, which ends ARP and IPv4, and so on up to UDP, which
@@ -89,10 +89,6 @@ class Stack:
 
 def stack_up(config: StackConfig, device=None) -> Stack:
     return Stack(config, device).up()
-
-
-def stack_down(stack: Stack, timeout: float = 10.0) -> None:
-    stack.down(timeout)
 
 
 def linked_stacks(profile: link.ImpairmentProfile = None,

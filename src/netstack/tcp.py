@@ -1,6 +1,6 @@
 """TCP: listeners, connections, and one task per connection.
 
-Both opens go through ``Tcb.open``, which sends the SYN (``connect``) or
+Both opens go through ``Tcb.open``, which cuts the SYN (``connect``) or
 the SYN-ACK (a listener's child) and spawns the task; the task
 deregisters the TCB on the turn that finds it CLOSED.  A listener owns
 its children until ``accept`` hands them out, the half-open ones in a
@@ -19,11 +19,14 @@ shutdown all take it.  A CLOSED TCB stays registered until its task's
 last turn, and a segment that reaches it meanwhile is answered as if it
 had found no TCB (§3.10.7.1): the dealer refuses it with an RST, counted
 as ``tcp.rst.no_listener`` like every refusal, or a SYN to a listening
-port opens a new child.
+port opens a new child.  A peer's RST resets only at ``rcv_nxt``; one
+elsewhere in the window draws a challenge ACK (RFC 5961 §3).
 
-Each connection's TCB is owned by a single task.  The TCP dealer hands
-it segments through a bounded inbox, and the application's send and
-close calls leave work in the TCB.  Each turn of the task waits once,
+Each connection's TCB is owned by a single task, and only that task
+sends the connection's segments, so only it can wait on ARP.  The TCP
+dealer hands it segments through a bounded inbox; the application's
+send and close calls leave work in the TCB, and ``open`` and ``abort``
+leave their SYN or RST in its outbox.  Each turn of the task waits once,
 for a segment, for send work or for the connection's earliest deadline,
 and reads the clock once.  ``Tcb._turn(inbox, now)`` is the core: it
 handles every queued segment, fires the timers due at ``now`` (the
@@ -54,7 +57,8 @@ same instant.  Unlike RFC 1122 §4.2.3.2, there is no ACK for every
 second full segment either.  That rule keeps stretch ACKs from slowing a
 congestion window's growth (RFC 2525 §2.13), and this stack has no
 congestion window: it sends as many segments as ``tcp_window_segments``
-allows.
+allows.  It holds as many out-of-order entries (more count as
+``tcp.drop.ooo_full``) and takes each once ``rcv_nxt`` reaches it.
 
 The TCB's fields are guarded by one lock per connection.  Two condition
 variables share it: ``_work`` wakes the connection task, and ``_cond``
@@ -130,6 +134,7 @@ class Tcb:
         self.mss = layer.mss  # largest payload we send; the peer's SYN may lower it
         self.window_segments = layer.window_segments
         self._inbox = []  # segments from the dealer, at most queue_capacity
+        self._outbox = []  # segments open() and abort() leave for the task to emit
         self._lock = threading.Lock()
         self._cond = Condition(self._lock)  # application waiters
         self._work = Condition(self._lock)  # the connection task
@@ -222,7 +227,7 @@ class Tcb:
                 return
 
     def _wait_for_work(self) -> None:
-        while not (self._inbox or self.state is TcbState.CLOSED
+        while not (self._inbox or self._outbox or self.state is TcbState.CLOSED
                    or self._can_cut()):
             deadline = self._next_deadline()
             if deadline is None:
@@ -235,8 +240,8 @@ class Tcb:
 
     def _turn(self, inbox: list, now: float) -> list[bytes]:
         """Handle a batch, fire the timers due at now, cut what the window
-        allows and end with at most one ACK; the segments to emit."""
-        out = []
+        allows and end with at most one ACK; the segments to emit, open's or abort's first."""
+        out, self._outbox = self._outbox, []
         for seg in inbox:
             self._handle(seg, now, out)
         self._fire_timers(now, out)
@@ -292,9 +297,14 @@ class Tcb:
             return
 
         if seg.flag_rst:
-            # RFC 9293 §3.10.7.4: only an RST inside the receive window counts
+            # RFC 5961 §3: only an RST at rcv_nxt resets; one elsewhere in the
+            # window draws a challenge ACK, which a true peer answers at rcv_nxt
             if not self._in_window(seg.seq):
                 self.layer.counters.incr("tcp.drop.rst_out_of_window")
+                return
+            if seg.seq != self.rcv_nxt:
+                self.layer.counters.incr("tcp.rst.challenge")
+                self._pure_ack(out)
                 return
             if self.state is TcbState.SYN_RCVD:
                 self.layer.counters.incr("tcp.reap.rst_handshake")
@@ -392,12 +402,15 @@ class Tcb:
                 skip = (self.rcv_nxt - seg.seq) & _MASK
                 self.recv_buf.extend(data[skip:])
                 self.rcv_nxt = end
-                self._drain_out_of_order()
+                if self.ooo:
+                    self._drain_out_of_order()
                 self._cond.notify_all()
-            elif self._in_window(seg.seq) and len(self.ooo) < self.window_segments:
+            elif not self._in_window(seg.seq):
+                self.layer.counters.incr("tcp.drop.out_of_window")
+            elif len(self.ooo) < self.window_segments:
                 self.ooo.setdefault(seg.seq, data)
             else:
-                self.layer.counters.incr("tcp.drop.out_of_window")
+                self.layer.counters.incr("tcp.drop.ooo_full")
             if ack_now:
                 self._pure_ack(out)
             else:
@@ -407,6 +420,7 @@ class Tcb:
             if fin_seq == self.rcv_nxt and not self.remote_fin_done:
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)
                 self.remote_fin_done = True
+                self.ooo.clear()  # held text past the FIN is never taken
                 if self.state is TcbState.ESTABLISHED:
                     self._enter(TcbState.CLOSE_WAIT)
                 elif self.state is TcbState.FIN_WAIT_2:
@@ -419,10 +433,17 @@ class Tcb:
         return seq_le(self.rcv_nxt, seq) and seq_lt(seq, seq_add(self.rcv_nxt, _WINDOW))
 
     def _drain_out_of_order(self) -> None:
-        while self.rcv_nxt in self.ooo:
-            chunk = self.ooo.pop(self.rcv_nxt)
-            self.recv_buf.extend(chunk)
-            self.rcv_nxt = seq_add(self.rcv_nxt, len(chunk))
+        # take every held entry rcv_nxt has reached, keeping only its bytes
+        # past rcv_nxt: a re-cut retransmission may have ended inside one
+        reached = True
+        while reached:
+            reached = [seq for seq in self.ooo if seq_le(seq, self.rcv_nxt)]
+            for seq in reached:
+                chunk = self.ooo.pop(seq)
+                skip = (self.rcv_nxt - seq) & _MASK
+                if skip < len(chunk):
+                    self.recv_buf.extend(chunk[skip:])
+                    self.rcv_nxt = seq_add(seq, len(chunk))
 
     def _enter_time_wait(self, now: float) -> None:
         self._state_deadline = now + self.layer.time_wait_s
@@ -471,7 +492,7 @@ class Tcb:
     # --- lifecycle ---
 
     def open(self, syn: wire.TcpSegment = None) -> None:
-        """Send a SYN, or the SYN-ACK that answers syn, and spawn the task.
+        """Cut a SYN, or the SYN-ACK that answers syn, and spawn the task that sends it.
 
         The state and the handshake deadline are set before the task first
         waits.  A child its closing listener already reset sends nothing.
@@ -486,27 +507,21 @@ class Tcb:
                 self.rcv_nxt = seq_add(syn.seq, 1)
                 self._state_deadline = now + self.layer.handshake_timeout_s
                 self._enter(TcbState.SYN_RCVD)
-            raw = None
             if self.state is not TcbState.CLOSED:
                 self.snd_una = iss
                 self.snd_nxt = seq_add(iss, 1)
                 raw = self._segment(iss, syn=True, with_ack=syn is not None,
                                     mss=self.layer.mss)
                 self._register_inflight(self.snd_nxt, raw, now)
-        if raw is not None:
-            self._emit(raw)
+                self._outbox.append(raw)
         self.layer.tasks.spawn(f"tcp-conn-{self.local[1]}", self.run)
 
     def abort(self, error: Exception) -> None:
-        """ABORT from any task; the RST, if any, leaves outside the lock."""
-        out = []
+        """ABORT from any task; the connection task sends the RST, if any, and cleans up."""
         with self._lock:
-            if self.state is TcbState.CLOSED:
-                return
-            self._abort_locked(error, out)
-            self._work.notify()  # the connection task completes the cleanup
-        for raw in out:
-            self._emit(raw)
+            if self.state is not TcbState.CLOSED:
+                self._abort_locked(error, self._outbox)
+                self._work.notify()
 
     # --- the application-facing calls ---
 
@@ -767,9 +782,9 @@ class TcpLayer:
             flag_rst=True, flag_ack=True)
         try:
             self.ipv4.send(peer_ip, wire.PROTO_TCP,
-                           rst.encode(self.our_ip, peer_ip))
+                           rst.encode(self.our_ip, peer_ip), wait=False)
         except NetstackError:
-            pass
+            self.counters.incr("tcp.drop.unroutable")
 
     # --- registration plumbing ---
 

@@ -11,7 +11,7 @@ import threading
 
 from netstack import addr, wire
 from netstack.csp import Counters, MessageQueue, TaskSet
-from netstack.errors import AlreadyBound, Closed, LengthError, WireError
+from netstack.errors import AlreadyBound, Closed, WireError
 
 
 class UdpSocket:
@@ -21,8 +21,6 @@ class UdpSocket:
         self.queue = MessageQueue(queue_capacity)
 
     def send_to(self, dst_ip, dst_port: int, payload: bytes) -> None:
-        if len(payload) > 65507:
-            raise LengthError(f"udp payload of {len(payload)} bytes exceeds 65507")
         dst = addr.as_ip(dst_ip)
         datagram = wire.UdpDatagram(self.port, addr.as_port(dst_port), bytes(payload))
         self._layer.ipv4.send(dst, wire.PROTO_UDP,

@@ -16,7 +16,7 @@ def test_bad_ip_rejected(bad):
 
 def test_mac_round_trip():
     mac = addr.parse_mac("02:00:5E:10:00:01")
-    assert addr.format_mac(mac) == "02:00:5e:10:00:01"
+    assert mac == b"\x02\x00\x5e\x10\x00\x01"
     assert addr.parse_mac("02-00-5e-10-00-01") == mac
 
 

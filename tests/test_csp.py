@@ -222,7 +222,7 @@ def test_condition_notifies_only_a_parked_task(monkeypatch):
     assert calls == [1, 1]
 
 
-def test_registry_bind_dispatch_unbind():
+def test_registry_bind_and_dispatch():
     counters = Counters()
     reg = BindingRegistry("eth", counters)
     q = MessageQueue(4)
@@ -231,9 +231,8 @@ def test_registry_bind_dispatch_unbind():
     assert q.recv() == "pkt"
     with pytest.raises(errors.AlreadyBound):
         reg.bind(2048, MessageQueue(1))
-    reg.unbind(2048)
-    with pytest.raises(errors.NotBound):
-        reg.unbind(2048)
+    assert not reg.dispatch(2054, "pkt")
+    assert counters.get("eth.drop.unbound") == 1
 
 
 def test_registry_close_closes_every_bound_queue():

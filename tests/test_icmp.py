@@ -8,6 +8,7 @@ import pytest
 from conftest import wait_until
 
 from netstack import addr, errors, wire
+from netstack.config import StackConfig
 
 A_IP = addr.parse_ip("10.0.0.1")
 B_IP = addr.parse_ip("10.0.0.2")
@@ -26,10 +27,10 @@ def test_reply_mirrors_identifier_sequence_and_data(rig):
     seen = []
     original_send = b.ipv4.send
 
-    def spy(dst, proto, payload):
+    def spy(dst, proto, payload, **kwargs):
         if proto == wire.PROTO_ICMP:
             seen.append(wire.decode("icmp", payload))
-        original_send(dst, proto, payload)
+        original_send(dst, proto, payload, **kwargs)
 
     b.ipv4.send = spy
     stats = a.icmp.ping(B_IP, count=3, interval=0.0, size=24)
@@ -130,3 +131,18 @@ def test_ping_after_down_is_lost_at_once(rig):
     assert time.monotonic() - started < 0.5  # not three 1.5 s timeouts
     assert stats.sent == 3 and stats.received == 0
     assert a.icmp.waiter_count() == 0
+
+
+def test_echo_request_from_a_host_that_never_answers_arp_stalls_no_ping(rig):
+    a, b = rig(b_over=dict(arp_timeout_ms=StackConfig.arp_timeout_ms))
+    assert a.icmp.ping(B_IP, count=1, interval=0.0).received == 1  # each knows the other
+    spoofed = wire.IcmpEcho(icmp_type=wire.ICMP_ECHO_REQUEST, identifier=7, sequence=1,
+                            data=bytes(8))
+    b.ipv4.inbound.send(("packet", wire.Ipv4Packet(
+        src_ip=addr.parse_ip("10.0.0.99"), dst_ip=B_IP, protocol=wire.PROTO_ICMP,
+        payload=spoofed.encode())))
+    stats = a.icmp.ping(B_IP, count=1, interval=0.0, timeout=2.0)
+    assert stats.received == 1 and stats.max_ms < 500
+    # the reply to the unknown host is dropped from the cache alone, with no ARP request
+    assert wait_until(lambda: b.counters.get("icmp.drop.reply_unroutable") == 1)
+    assert b.counters.get("arp.tx.request") == 0

@@ -4,13 +4,16 @@ import random
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import ScriptedPeer, peer_segment, stub_tcb, tcp_task_names, wait_until
 
 from netstack import addr, errors, wire
-from netstack.tcp import TcbState, seq_add, seq_le
+from netstack.config import StackConfig
+from netstack.csp import Counters
+from netstack.tcp import TcbState, TcpLayer, seq_add, seq_le, seq_lt
 
 from test_acceptance import LEGAL_EDGES
 
@@ -731,9 +734,14 @@ def test_rst_outside_the_receive_window_is_dropped(solo):
     assert conn.state is TcbState.ESTABLISHED
     conn.send(b"still here")
     assert peer.expect_tcp(_data).payload == b"still here"
-    # inside the window, if not at rcv_nxt itself, an RST still resets
+    # inside the window but not at rcv_nxt, an RST draws a challenge ACK
     peer.send_tcp(A_IP, A_MAC, src_port=6006, dst_port=7113,
                   seq=2001 + 65534, ack=their_next, flag_rst=True, flag_ack=True)
+    challenge = peer.expect_tcp(lambda g: not g.payload)
+    assert challenge.flag_ack and not challenge.flag_rst and challenge.ack == 2001
+    assert conn.state is TcbState.ESTABLISHED
+    peer.send_tcp(A_IP, A_MAC, src_port=6006, dst_port=7113,
+                  seq=2001, ack=their_next, flag_rst=True, flag_ack=True)
     with pytest.raises(errors.ConnectionReset):
         conn.recv(timeout=2.0)
     assert wait_until(lambda: s.tcp.connection_count() == 0)
@@ -856,6 +864,31 @@ def test_duplicate_syn_in_syn_rcvd_resends_the_syn_ack(solo):
     assert again.seq == (their_next - 1) % 2**32 and again.ack == 4001
 
 
+def _spoof_syn(stack_obj, src_ip: bytes, dst_port: int) -> None:
+    """A SYN from src_ip, a host that never answers ARP, handed to IP as if it
+    had come off the wire."""
+    syn = wire.TcpSegment(src_port=6100, dst_port=dst_port, seq=300, ack=0, flag_syn=True)
+    packet = wire.Ipv4Packet(src_ip=src_ip, dst_ip=stack_obj.ip, protocol=wire.PROTO_TCP,
+                             payload=syn.encode(src_ip, stack_obj.ip))
+    stack_obj.ipv4.inbound.send(("packet", packet))
+
+
+@pytest.mark.parametrize("listening", [True, False], ids=["listening", "closed"])
+def test_syn_from_a_host_that_never_answers_arp_stalls_no_connection(rig, listening):
+    a, b = rig(b_over=dict(arp_timeout_ms=StackConfig.arp_timeout_ms))
+    listener = b.tcp.listen(7030)
+    client = a.tcp.connect(B_IP, 7030, timeout=3.0)
+    server = listener.accept(timeout=2.0)
+    _spoof_syn(b, addr.parse_ip("10.0.0.99"), 7030 if listening else 7031)
+    # a listener's child resolves in its own task; a refusal only reads the cache
+    assert wait_until(lambda: b.counters.get("arp.tx.request") == 1 if listening
+                      else b.counters.get("tcp.drop.unroutable") == 1)
+    client.send(b"x")
+    assert server.recv(1, timeout=0.5) == b"x"
+    if not listening:
+        assert b.counters.get("arp.tx.request") == 0
+
+
 # --- the TCP core driven by hand: no thread, no timer, now advanced by the test ---
 
 
@@ -882,21 +915,80 @@ def test_segment_acknowledging_unsent_data_is_answered_and_dropped():
     assert tcb.layer.counters.get("tcp.tx.pure_ack") == 1
 
 
+def test_rst_off_rcv_nxt_draws_a_challenge_ack_and_changes_nothing():
+    tcb = stub_tcb()
+    rcv_nxt, snd_nxt = tcb.rcv_nxt, tcb.snd_nxt
+    out = tcb._turn([peer_segment(tcb, seq_add(rcv_nxt, 30000), flag_rst=True)], 0.0)
+    assert tcb.state is TcbState.ESTABLISHED
+    [ack] = [wire.decode("tcp", raw) for raw in out]
+    assert ack.flag_ack and not (ack.flag_rst or ack.payload)
+    assert (ack.seq, ack.ack) == (snd_nxt, rcv_nxt)
+    assert tcb.layer.counters.get("tcp.rst.challenge") == 1
+    assert tcb._turn([peer_segment(tcb, rcv_nxt, flag_rst=True)], 0.0) == []
+    assert tcb.state is TcbState.CLOSED
+    assert isinstance(tcb.error, errors.ConnectionReset)
+
+
+def test_our_abort_resets_a_peer_that_answers_it_with_a_challenge_ack():
+    ours, theirs = stub_tcb(iss=1000, irs=5000), stub_tcb(iss=5000, irs=1000)
+    ours.send_buf.extend(bytes(100))
+    ours._turn([], 0.0)  # data the peer never receives: our RST lands past its rcv_nxt
+    ours.abort(errors.ConnectionReset("aborted"))
+    [rst] = [wire.decode("tcp", raw) for raw in ours._turn([], 0.0)]
+    assert rst.flag_rst and rst.seq == 1100
+    [challenge] = [wire.decode("tcp", raw) for raw in theirs._turn([rst], 0.0)]
+    assert theirs.state is TcbState.ESTABLISHED
+    assert not ours.deliver(challenge)  # CLOSED: the dealer refuses it
+    sent = []
+    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, wait: sent.append(raw)),
+                     StackConfig(ip="10.0.0.1", mac="02:00:00:00:00:01"), Counters(), None)
+    layer._refuse(B_IP, challenge)
+    [refusal] = [wire.decode("tcp", raw) for raw in sent]
+    assert refusal.flag_rst and refusal.seq == theirs.rcv_nxt == 1000
+    theirs._turn([refusal], 0.0)
+    assert theirs.state is TcbState.CLOSED
+    assert isinstance(theirs.error, errors.ConnectionReset)
+
+
+def test_a_held_segment_that_rcv_nxt_passes_is_taken_past_rcv_nxt():
+    tcb = stub_tcb(window_segments=2)
+    irs = tcb.rcv_nxt
+    stream = bytes(range(60))
+
+    def data(start, end):
+        return peer_segment(tcb, seq_add(irs, start), stream[start:end])
+
+    tcb._turn([data(10, 20)], 0.0)
+    tcb._turn([data(0, 15)], 0.0)  # a re-cut retransmission that ends inside it
+    assert tcb.ooo == {} and tcb.rcv_nxt == seq_add(irs, 20)
+    assert tcb.recv_buf == stream[:20]
+    tcb._turn([data(25, 30), data(35, 40), data(45, 50)], 0.0)
+    assert sorted(tcb.ooo) == [seq_add(irs, 25), seq_add(irs, 35)]
+    counters = tcb.layer.counters
+    assert counters.get("tcp.drop.ooo_full") == 1
+    assert counters.get("tcp.drop.out_of_window") == 0
+
+
 def _one_stream_case(rng: random.Random) -> None:
-    """Cuts, duplicates and reorderings of one stream ending in a FIN, text
-    after that FIN, and random ACKs, against a TCB that sends too; now moves
-    by hand."""
+    """Two cuts (a re-cut retransmission), duplicates and reorderings of one
+    stream ending in a FIN, text after that FIN, and random ACKs, against a
+    TCB that sends too; now moves by hand."""
     tcb = stub_tcb(iss=rng.getrandbits(32), irs=rng.getrandbits(32), mss=64,
                    window_segments=4, time_wait_s=2.0)
     irs = tcb.rcv_nxt
     stream = rng.randbytes(rng.randrange(1, 1500))
     tcb.send_buf.extend(rng.randbytes(rng.randrange(0, 800)))
-    cuts = sorted(rng.sample(range(1, len(stream)), min(len(stream) - 1, rng.randrange(12))))
-    cuts.append(len(stream))
-    pieces = [(start, stream[start:end]) for start, end in zip([0] + cuts, cuts)]
-    pieces.append((len(stream), None))  # the FIN
+
+    def cut():
+        cuts = sorted(rng.sample(range(1, len(stream)),
+                                 min(len(stream) - 1, rng.randrange(12))))
+        cuts.append(len(stream))
+        return [(start, stream[start:end]) for start, end in zip([0] + cuts, cuts)]
+
+    pieces = cut() + [(len(stream), None)]  # the FIN
+    recut = cut()
     after_eof = (len(stream) + 1, b"AFTER-EOF")
-    schedule = pieces + [rng.choice(pieces + [after_eof])
+    schedule = pieces + [rng.choice(pieces + recut + [after_eof])
                          for _ in range(rng.randrange(0, 40 - len(pieces)))]
     for _ in range(rng.randrange(0, len(schedule))):
         i, j = rng.randrange(len(schedule)), rng.randrange(len(schedule))
@@ -923,6 +1015,7 @@ def _one_stream_case(rng: random.Random) -> None:
         tcb._turn(inbox, now)
         now += rng.choice((0.0, 0.1, 0.6, 1.5))
         assert len(tcb.ooo) <= tcb.window_segments
+        assert all(seq_lt(tcb.rcv_nxt, seq) for seq in tcb.ooo)
         assert len(tcb.ledger) <= tcb.window_segments
         assert seq_le(tcb.snd_una, tcb.snd_nxt)
         assert stream.startswith(tcb.recv_buf)
@@ -938,8 +1031,9 @@ def _one_stream_case(rng: random.Random) -> None:
 
 def test_seeded_segment_orders_keep_the_core_legal_and_the_stream_exact(monkeypatch):
     """500 seeded cases of up to 40 segments through Tcb._turn: every edge
-    legal, queues within the window, snd_una at or before snd_nxt, recv_buf
-    a prefix of the stream; nothing raises, no thread starts, under 5 s."""
+    legal, queues within the window, every held entry past rcv_nxt, snd_una
+    at or before snd_nxt, recv_buf a prefix of the stream; nothing raises,
+    no thread starts, under 5 s."""
 
     def no_threads(_thread):
         raise AssertionError("the TCP core started a thread")
