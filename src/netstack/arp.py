@@ -94,8 +94,9 @@ class ArpLayer:
                     self._answer(pending, None)
                 self._pending.clear()
                 return
-            if isinstance(msg, wire.EthernetFrame):
-                self._handle_frame(msg)
+            if isinstance(msg, list):  # a burst of frames
+                for frame in msg:
+                    self._handle_frame(frame)
             elif msg[0] == "resolve":
                 self._handle_resolve(msg[1], msg[2])
             elif msg[0] == "static":

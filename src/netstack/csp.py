@@ -15,6 +15,13 @@ A hand-off costs what it must and no more.  A queue call that finds room
 or data takes the queue's lock once and parks no one, and ``notify``
 (``csp.Condition``) does nothing unless a task is parked, so only a task
 that had to wait is woken.
+
+On the receive path the unit of a hand-off is a *burst*: a list of every
+frame, packet or segment one wake of the sending task found, in arrival
+order, as in Linux's list-based receive (``netif_receive_skb_list``).  A
+queue counts a burst of n as n toward its capacity and its ``len``, so a
+queue's bound is still a bound on frames, and the send, receive, lock
+and wake are paid once per burst instead of once per frame.
 """
 
 from __future__ import annotations
@@ -45,14 +52,23 @@ class Condition(threading.Condition):
             super().notify_all()
 
 
+def units(item) -> int:
+    """What an item counts toward a queue's capacity: a burst (a list) its
+    length, anything else one."""
+    return len(item) if type(item) is list else 1
+
+
 class MessageQueue:
     """Bounded FIFO channel between tasks.
 
-    send blocks while the queue is full, recv blocks while it is empty.
-    A call that finds room or data takes the lock once and parks no one,
-    and only a parked task is notified.  close wakes every blocked task;
-    receivers drain whatever is already queued and then get Closed,
-    senders get Closed immediately.
+    ``capacity`` bounds the units held (see ``units``), and ``len`` counts
+    them.  send blocks until the item fits; a burst larger than the whole
+    capacity goes in slices that do.  recv blocks while the queue is empty
+    and returns one item, a whole burst.  A call that finds room or data
+    takes the lock once and parks no one, and only a parked task is
+    notified.  close wakes every blocked task; receivers drain whatever
+    is already queued and then get Closed, senders get Closed
+    immediately.
     """
 
     def __init__(self, capacity: int):
@@ -60,29 +76,39 @@ class MessageQueue:
             raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items = deque()
+        self._count = 0  # units held
         self._lock = threading.Lock()
         self._not_full = Condition(self._lock)
         self._not_empty = Condition(self._lock)
         self._closed = False
 
     def send(self, item, timeout: float = None) -> None:
+        n = units(item)
+        if n > self.capacity:  # it could never fit whole
+            for i in range(0, n, self.capacity):
+                self.send(item[i:i + self.capacity], timeout)
+            return
+        room = self.capacity - n
         with self._lock:
-            if len(self._items) >= self.capacity and not self._not_full.wait_for(
-                    lambda: self._closed or len(self._items) < self.capacity, timeout):
+            if self._count > room and not self._not_full.wait_for(
+                    lambda: self._closed or self._count <= room, timeout):
                 raise Timeout("send timed out on a full queue")
             if self._closed:
                 raise Closed("queue is closed")
             self._items.append(item)
+            self._count += n
             self._not_empty.notify()
 
     def send_nowait(self, item) -> bool:
-        """Non-blocking send; returns False instead of waiting on a full queue."""
+        """Non-blocking send; returns False instead of waiting for room."""
+        n = units(item)
         with self._lock:
             if self._closed:
                 raise Closed("queue is closed")
-            if len(self._items) >= self.capacity:
+            if self._count + n > self.capacity:
                 return False
             self._items.append(item)
+            self._count += n
             self._not_empty.notify()
             return True
 
@@ -93,6 +119,7 @@ class MessageQueue:
                 raise Timeout("recv timed out on an empty queue")
             if self._items:
                 item = self._items.popleft()
+                self._count -= units(item)
                 self._not_full.notify()
                 return item
             raise Closed("queue is closed")
@@ -104,7 +131,7 @@ class MessageQueue:
             self._not_full.notify_all()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._count
 
     def __iter__(self):
         """Receive until the queue is closed and drained."""
@@ -158,16 +185,19 @@ class BindingRegistry:
             queue.close()
 
     def dispatch(self, key, msg) -> bool:
-        """Forward msg to the queue bound for key; unbound keys count a drop."""
+        """Forward msg, usually a burst, to the queue bound for key.
+
+        An unbound key or a closed queue counts a drop for each unit of msg.
+        """
         with self._lock:
             queue = self._map.get(key)
         if queue is None:
-            self._counters.incr(f"{self.name}.drop.unbound")
+            self._counters.incr(f"{self.name}.drop.unbound", units(msg))
             return False
         try:
             queue.send(msg)
         except Closed:
-            self._counters.incr(f"{self.name}.drop.closed")
+            self._counters.incr(f"{self.name}.drop.closed", units(msg))
             return False
         return True
 

@@ -1,8 +1,12 @@
 """Ethernet: ethertype demux inbound, framing outbound.
 
-The link reader pumps raw frames into the dealer's inbox with a
-non-blocking send, modelling a NIC ring that overflows rather than
-stalling the wire.  Everything above this layer blocks instead.
+The link reader waits for a frame, then takes every frame the device
+already holds, up to the inbox's capacity, and hands them to the dealer
+as one burst with a non-blocking send.  That models a NIC ring that
+overflows rather than stalling the wire: the frames that do not fit are
+dropped, each counted as ``link.drop.overflow``.  Everything above this
+layer blocks instead.  The dealer sends one burst per ethertype for each
+burst it takes, as NAPI's poll hands a list up the stack.
 
 Teardown starts here: when the device is closed, the link reader closes
 the dealer's inbox, and the dealer, once it has drained it, closes every
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
-from netstack.errors import Closed, FrameTooLarge, WireError
+from netstack.errors import Closed, FrameTooLarge, Timeout, WireError
 
 
 class EthernetLayer:
@@ -31,26 +35,42 @@ class EthernetLayer:
         self.tasks.spawn("eth-dealer", self._dealer_loop)
 
     def _read_loop(self) -> None:
-        while True:
+        read, inbound = self.device.read_frame, self.inbound
+        closed = False
+        while not closed:
+            burst = []
             try:
-                frame = self.device.read_frame()
+                burst.append(read())
+                while len(burst) < inbound.capacity:
+                    burst.append(read(0))
+            except Timeout:
+                pass
             except Closed:
-                self.inbound.close()
-                return
-            if not self.inbound.send_nowait(frame):  # only this task closes inbound
-                self.counters.incr("link.drop.overflow")
+                closed = True
+            # only this task adds to inbound or closes it, so the room can only grow
+            room = inbound.capacity - len(inbound)
+            if len(burst) > room:
+                self.counters.incr("link.drop.overflow", len(burst) - room)
+                del burst[room:]
+            if burst:
+                inbound.send_nowait(burst)
+        inbound.close()
 
     def _dealer_loop(self) -> None:
-        for raw in self.inbound:
-            try:
-                frame = wire.decode("ethernet", raw)
-            except WireError:
-                self.counters.incr("eth.drop.decode")
-                continue
-            if frame.dst_mac != self.mac and frame.dst_mac != addr.BROADCAST_MAC:
-                self.counters.incr("eth.drop.foreign")
-                continue
-            self.registry.dispatch(frame.ethertype, frame)
+        for burst in self.inbound:
+            by_type = {}  # ethertype -> frames, in arrival order
+            for raw in burst:
+                try:
+                    frame = wire.decode("ethernet", raw)
+                except WireError:
+                    self.counters.incr("eth.drop.decode")
+                    continue
+                if frame.dst_mac != self.mac and frame.dst_mac != addr.BROADCAST_MAC:
+                    self.counters.incr("eth.drop.foreign")
+                    continue
+                by_type.setdefault(frame.ethertype, []).append(frame)
+            for ethertype, frames in by_type.items():
+                self.registry.dispatch(ethertype, frames)
         self.registry.close()
 
     def send(self, dst_mac: bytes, ethertype: int, payload: bytes) -> None:

@@ -56,16 +56,17 @@ class IcmpPing:
     # --- inbound ---
 
     def _dealer_loop(self) -> None:
-        for datagram in self.inbound:
-            try:
-                echo = wire.decode("icmp", datagram.payload)
-            except WireError:
-                self.counters.incr("icmp.drop.decode")
-                continue
-            if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
-                self._reply(datagram.src_ip, echo)
-            else:
-                self._route_reply(echo)
+        for burst in self.inbound:
+            for datagram in burst:
+                try:
+                    echo = wire.decode("icmp", datagram.payload)
+                except WireError:
+                    self.counters.incr("icmp.drop.decode")
+                    continue
+                if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
+                    self._reply(datagram.src_ip, echo)
+                else:
+                    self._route_reply(echo)
         # no reply can come now: each ping still waiting counts as lost at once
         with self._waiters_lock:
             self._ended = True

@@ -1,6 +1,11 @@
 """IPv4: protocol demux through one reader task, fragmentation on send,
 and reassembly inside the dealer.
 
+Each burst of frames the dealer takes becomes one burst of packets for
+the reader, and the reader sends one burst per protocol, so a queue
+bound in ``registry`` receives bursts: lists of ``wire.Ipv4Packet``, in
+arrival order.
+
 The dealer owns the reassembly map and inserts every fragment itself,
 so a fragmented datagram costs no extra task and no extra hand-off.
 The map is keyed by the plain tuple (source, destination, protocol,
@@ -164,15 +169,19 @@ class Ipv4Layer:
                 self._assemblers.clear()
                 self.dispatch_q.close()
                 return
-            if isinstance(msg, wire.EthernetFrame):
-                try:
-                    packet = wire.Ipv4Packet.decode(msg.payload)
-                except WireError:
-                    self.counters.incr("ip.drop.decode")
-                    continue
-                self._accept(packet)
+            packets = []  # what this message delivers, in arrival order
+            if isinstance(msg, list):  # a burst of frames
+                for frame in msg:
+                    try:
+                        packet = wire.Ipv4Packet.decode(frame.payload)
+                    except WireError:
+                        self.counters.incr("ip.drop.decode")
+                        continue
+                    self._accept(packet, packets)
             elif isinstance(msg, tuple) and msg[0] == "packet":
-                self._accept(msg[1])
+                self._accept(msg[1], packets)
+            if packets:
+                self.dispatch_q.send(packets)  # only this task closes dispatch_q
 
     def _expire(self, now: float) -> float | None:
         """Drop reassemblies past their deadline; returns the wait until the next."""
@@ -184,7 +193,8 @@ class Ipv4Layer:
             self.counters.incr("ip.reassembly.timeout")
         return None
 
-    def _accept(self, packet: wire.Ipv4Packet) -> None:
+    def _accept(self, packet: wire.Ipv4Packet, packets: list) -> None:
+        """Append packet, or the datagram it completes, to packets if it is ours."""
         if packet.dst_ip != self.our_ip and packet.dst_ip not in self.broadcasts:
             self.counters.incr("ip.drop.not_ours")
             return
@@ -192,17 +202,11 @@ class Ipv4Layer:
             self.counters.incr("ip.drop.ttl")
             return
         if packet.mf or packet.fragment_offset:
-            self._reassemble(packet)
+            self._reassemble(packet, packets)
         else:
-            self._forward(packet)
+            packets.append(packet)
 
-    def _forward(self, packet: wire.Ipv4Packet) -> None:
-        try:
-            self.dispatch_q.send(packet)
-        except Closed:
-            pass
-
-    def _reassemble(self, packet: wire.Ipv4Packet) -> None:
+    def _reassemble(self, packet: wire.Ipv4Packet, packets: list) -> None:
         key = (packet.src_ip, packet.dst_ip, packet.protocol, packet.identification)
         assembler = self._assemblers.get(key)
         if assembler is None:
@@ -219,12 +223,16 @@ class Ipv4Layer:
             del self._assemblers[key]
             self.counters.incr("ip.reassembly.completed")
             # positional, in field order: addresses, protocol, payload, id
-            self._forward(wire.Ipv4Packet(packet.src_ip, packet.dst_ip, packet.protocol,
-                                          whole, packet.identification))
+            packets.append(wire.Ipv4Packet(packet.src_ip, packet.dst_ip, packet.protocol,
+                                           whole, packet.identification))
 
     def _reader_loop(self) -> None:
-        for packet in self.dispatch_q:
-            self.registry.dispatch(packet.protocol, packet)
+        for burst in self.dispatch_q:
+            by_protocol = {}  # protocol -> packets, in arrival order
+            for packet in burst:
+                by_protocol.setdefault(packet.protocol, []).append(packet)
+            for protocol, packets in by_protocol.items():
+                self.registry.dispatch(protocol, packets)
         self.registry.close()
 
     # --- outbound ---

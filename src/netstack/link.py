@@ -14,6 +14,7 @@ import select
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from netstack.csp import Condition
@@ -53,7 +54,7 @@ class _Direction:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._cond = Condition(self._lock)
-        self._frames = []  # (deliver_at, frame), append-ordered
+        self._frames = deque()  # (deliver_at, frame), append-ordered
         self._held = None
         self.closed = False
         self.write_count = 0
@@ -86,7 +87,7 @@ class _Direction:
             while True:
                 now = time.monotonic()
                 if self._frames and self._frames[0][0] <= now:
-                    return self._frames.pop(0)[1]
+                    return self._frames.popleft()[1]
                 if not self._frames and self.closed:
                     raise Closed("wire end is closed")
                 if self._frames:

@@ -24,7 +24,8 @@ elsewhere in the window draws a challenge ACK (RFC 5961 §3).
 
 Each connection's TCB is owned by a single task, and only that task
 sends the connection's segments, so only it can wait on ARP.  The TCP
-dealer hands it segments through a bounded inbox; the application's
+dealer hands it each run of consecutive segments it finds in one burst
+through a bounded inbox, with one lock and one wake; the application's
 send and close calls leave work in the TCB, and ``open`` and ``abort``
 leave their SYN or RST in its outbox.  Each turn of the task waits once,
 for a segment, for send work or for the connection's earliest deadline,
@@ -194,20 +195,22 @@ class Tcb:
 
     # --- the connection task ---
 
-    def deliver(self, seg: wire.TcpSegment) -> bool:
-        """Queue a segment from the TCP dealer for the connection task.
+    def deliver(self, *segs: wire.TcpSegment) -> bool:
+        """Queue a run of segments from the TCP dealer for the connection task.
 
-        False if the TCB is CLOSED: the dealer then answers the segment as
-        one that found no connection.
+        The inbox holds at most queue_capacity segments; each one past that
+        counts as ``tcp.drop.inbox_full``.  False if the TCB is CLOSED: the
+        dealer then answers the segments as ones that found no connection.
         """
         with self._lock:
             if self.state is TcbState.CLOSED:
                 return False
-            if len(self._inbox) < self.layer.queue_capacity:
-                self._inbox.append(seg)
+            room = self.layer.queue_capacity - len(self._inbox)
+            if room > 0:
+                self._inbox.extend(segs[:room])
                 self._work.notify()
-                return True
-        self.layer.counters.incr("tcp.drop.inbox_full")
+        if len(segs) > room:
+            self.layer.counters.incr("tcp.drop.inbox_full", len(segs) - room)
         return True
 
     def run(self) -> None:
@@ -741,26 +744,38 @@ class TcpLayer:
     # --- dealer ---
 
     def _dealer_loop(self) -> None:
-        for datagram in self.inbound:
-            try:
-                seg = wire.decode("tcp", datagram.payload,
-                                  src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
-            except WireError:
-                self.counters.incr("tcp.drop.decode")
-                continue
-            key = (seg.dst_port, datagram.src_ip, seg.src_port)
+        for burst in self.inbound:
+            key, run = None, []  # consecutive segments of one connection
+            for datagram in burst:
+                try:
+                    seg = wire.decode("tcp", datagram.payload,
+                                      src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
+                except WireError:
+                    self.counters.incr("tcp.drop.decode")
+                    continue
+                seg_key = (seg.dst_port, datagram.src_ip, seg.src_port)
+                if seg_key != key:
+                    self._deliver_run(key, run)
+                    key, run = seg_key, []
+                run.append(seg)
+            self._deliver_run(key, run)
+        self.shutdown()
+
+    def _deliver_run(self, key: tuple, run: list) -> None:
+        """Hand a run of segments for key to its TCB in one delivery; a segment
+        that finds none opens a child on a listening port or is refused."""
+        while run:
             with self._lock:
                 tcb = self._connections.get(key)
-                listener = self._listeners.get(seg.dst_port)
-            if tcb is not None and tcb.deliver(seg):
-                continue
+                listener = self._listeners.get(key[0])
+            if tcb is not None and tcb.deliver(*run):
+                return
+            seg, run = run[0], run[1:]  # the rest may find the child this SYN opens
             if listener is not None and seg.flag_syn and not seg.flag_ack \
                     and not seg.flag_rst:
-                self._new_server_tcb(listener, datagram.src_ip, seg)
-                continue
-            if not seg.flag_rst:
-                self._refuse(datagram.src_ip, seg)
-        self.shutdown()
+                self._new_server_tcb(listener, key[1], seg)
+            elif not seg.flag_rst:
+                self._refuse(key[1], seg)
 
     def _new_server_tcb(self, listener: Listener, peer_ip: bytes,
                         seg: wire.TcpSegment) -> None:

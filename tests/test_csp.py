@@ -126,6 +126,45 @@ def test_send_nowait_on_full_queue():
     assert not q.send_nowait(2)
 
 
+def test_a_burst_counts_each_unit_toward_capacity_and_len():
+    q = MessageQueue(5)
+    q.send([1, 2, 3])
+    assert len(q) == 3
+    q.send("one message")  # anything but a list is one unit
+    assert len(q) == 4
+    assert not q.send_nowait([4, 5])  # 6 units would not fit
+    assert q.send_nowait([4])
+    assert len(q) == 5
+    assert q.recv() == [1, 2, 3]  # a burst comes out whole
+    assert len(q) == 2
+
+
+def test_a_burst_that_does_not_fit_waits_for_room():
+    q = MessageQueue(4)
+    q.send([1, 2, 3])
+    with pytest.raises(errors.Timeout):
+        q.send([4, 5], timeout=0.05)
+    assert len(q) == 3  # the timed-out burst was not queued
+    q.recv()
+    q.send([4, 5], timeout=0.05)
+    assert q.recv() == [4, 5]
+
+
+def test_a_burst_larger_than_the_capacity_goes_in_slices_that_fit():
+    q = MessageQueue(4)
+    assert not q.send_nowait(list(range(5)))
+    t = threading.Thread(target=q.send, args=(list(range(10)),), daemon=True)
+    t.start()
+    got = []
+    while len(got) < 10:
+        burst = q.recv(timeout=1.0)
+        assert len(burst) <= 4
+        got.extend(burst)
+    t.join(1.0)
+    assert not t.is_alive()
+    assert got == list(range(10))
+
+
 def test_many_producers_preserve_per_producer_order():
     q = MessageQueue(8)
     n_producers, n_items = 8, 200
@@ -253,6 +292,18 @@ def test_dispatch_unbound_counts_drop():
     reg = BindingRegistry("eth", counters)
     assert not reg.dispatch(0x86DD, "pkt")
     assert counters.get("eth.drop.unbound") == 1
+
+
+def test_dispatch_counts_a_drop_per_unit_of_a_burst():
+    counters = Counters()
+    reg = BindingRegistry("ip", counters)
+    assert not reg.dispatch(99, ["a", "b", "c"])
+    assert counters.get("ip.drop.unbound") == 3
+    q = MessageQueue(4)
+    reg.bind(6, q)
+    q.close()
+    assert not reg.dispatch(6, ["a", "b"])
+    assert counters.get("ip.drop.closed") == 2
 
 
 def test_dealer_forwards_by_key():

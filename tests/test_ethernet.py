@@ -2,10 +2,11 @@
 
 import threading
 
-from conftest import wait_until
+from conftest import Unbursted, wait_until
 
-from netstack import wire
-from netstack.csp import MessageQueue
+from netstack import errors, wire
+from netstack.csp import Counters, MessageQueue
+from netstack.ethernet import EthernetLayer
 
 
 def test_outbound_frames_carry_our_mac_and_ethertype(rig):
@@ -13,6 +14,7 @@ def test_outbound_frames_carry_our_mac_and_ethertype(rig):
     # a raw payload pushed straight out through the ethernet layer
     seen = MessageQueue(16)
     b.eth.registry.bind(0x1234, seen)
+    seen = Unbursted(seen)
     a.eth.send(b.eth.mac, 0x1234, b"hello ether")
     frame = seen.recv(timeout=2.0)
     assert frame.src_mac == a.eth.mac
@@ -37,6 +39,7 @@ def test_broadcast_frames_are_accepted(rig):
     a, b = rig()
     seen = MessageQueue(16)
     b.eth.registry.bind(0x88B6, seen)
+    seen = Unbursted(seen)
     a.eth.send(b"\xff" * 6, 0x88B6, b"to everyone")
     assert seen.recv(timeout=2.0).payload == b"to everyone"
 
@@ -54,6 +57,7 @@ def test_concurrent_senders_produce_intact_frames(rig):
     a, b = rig()
     seen = MessageQueue(4096)
     b.eth.registry.bind(0x88B7, seen)
+    seen = Unbursted(seen)
     n_senders, n_each = 20, 5
 
     def sender(sid):
@@ -71,3 +75,33 @@ def test_concurrent_senders_produce_intact_frames(rig):
     want = {s.to_bytes(2, "big") + i.to_bytes(2, "big")
             for s in range(n_senders) for i in range(n_each)}
     assert got == want
+
+
+class _Ring:
+    """A device whose frames have all arrived: a read takes the next one, and
+    a pause in the script is a read that finds none.  The end is Closed."""
+
+    PAUSE = object()
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def read_frame(self, timeout: float = None) -> bytes:
+        while self.script:
+            item = self.script.pop(0)
+            if item is not self.PAUSE:
+                return item
+            if timeout is not None:
+                raise errors.Timeout("no frame yet")
+        raise errors.Closed("device is closed")
+
+
+def test_link_reader_hands_over_bursts_and_counts_each_frame_it_drops():
+    frames = [bytes([i]) * 60 for i in range(6)]
+    counters = Counters()
+    eth = EthernetLayer(_Ring([*frames[:3], _Ring.PAUSE, *frames[3:]]), bytes(6),
+                        counters, None, queue_capacity=4)
+    eth._read_loop()  # no dealer runs, so the inbox fills up
+    # the second wake found 3 frames with room for 1: it keeps the first
+    assert list(eth.inbound) == [frames[:3], frames[3:4]]
+    assert counters.get("link.drop.overflow") == 2

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import wait_until
+from conftest import Unbursted, wait_until
 
 from netstack import addr, errors, wire
 from netstack.csp import MessageQueue
@@ -19,10 +19,10 @@ B_IP = addr.parse_ip("10.0.0.2")
 TEST_PROTO = 253
 
 
-def _bind_test_proto(s) -> MessageQueue:
+def _bind_test_proto(s) -> Unbursted:
     q = MessageQueue(64)
     s.ipv4.registry.bind(TEST_PROTO, q)
-    return q
+    return Unbursted(q)
 
 
 def _encoded_fragments(payload, mtu, src=B_IP, dst=A_IP, ident=41):

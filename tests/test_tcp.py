@@ -13,7 +13,7 @@ from conftest import ScriptedPeer, peer_segment, stub_tcb, tcp_task_names, wait_
 from netstack import addr, errors, wire
 from netstack.config import StackConfig
 from netstack.csp import Counters
-from netstack.tcp import TcbState, TcpLayer, seq_add, seq_le, seq_lt
+from netstack.tcp import Tcb, TcbState, TcpLayer, seq_add, seq_le, seq_lt
 
 from test_acceptance import LEGAL_EDGES
 
@@ -562,6 +562,9 @@ def test_stray_segment_gets_rst(solo):
     s, far_end = solo()
     peer = ScriptedPeer(far_end, ip=B_IP)
     peer.announce(A_IP)
+    # the refusal resolves without waiting, and the ARP dealer learns the
+    # peer in parallel with the segment's way up: let it learn first
+    assert wait_until(lambda: B_IP in s.arp._published)
     peer.send_tcp(A_IP, A_MAC, src_port=6002, dst_port=9999,
                   seq=100, ack=77, flag_ack=True, payload=b"who are you")
     rst = peer.expect_tcp(lambda g: g.flag_rst)
@@ -1043,3 +1046,48 @@ def test_seeded_segment_orders_keep_the_core_legal_and_the_stream_exact(monkeypa
     for seed in range(500):
         _one_stream_case(random.Random(seed))
     assert time.perf_counter() - started < 5.0
+
+
+def test_deliver_takes_a_run_up_to_the_inbox_bound_and_counts_each_refused():
+    tcb = stub_tcb()
+    tcb.layer.queue_capacity = 4
+    segs = [peer_segment(tcb, tcb.rcv_nxt + i, b"x") for i in range(6)]
+    assert tcb.deliver(*segs[:3])
+    assert tcb.deliver(*segs[3:])
+    assert tcb._inbox == segs[:4]
+    assert tcb.layer.counters.get("tcp.drop.inbox_full") == 2
+
+
+def test_one_burst_reaches_each_connection_in_order_opens_a_child_and_refuses():
+    """A burst: two segments for X, a SYN to a listener, a segment for a
+    CLOSED TCB and one more for X, through the dealer with no thread."""
+    sent, spawned = [], []
+    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, wait: sent.append(raw)),
+                     StackConfig(ip="10.0.0.1", mac="02:00:00:00:00:01"), Counters(),
+                     SimpleNamespace(spawn=lambda name, fn, *args: spawned.append(name)))
+    x = Tcb(layer, local=(A_IP, 7000), remote=(B_IP, 6000))
+    x.state, x.rcv_nxt = TcbState.ESTABLISHED, 5000
+    closed = Tcb(layer, local=(A_IP, 7002), remote=(B_IP, 6002))
+    for tcb in (x, closed):
+        layer._connections[tcb.key] = tcb
+    layer.listen(7001)
+
+    def packet(src_port, dst_port, seq, payload=b"", **flags):
+        seg = wire.TcpSegment(src_port=src_port, dst_port=dst_port, seq=seq, ack=0,
+                              payload=payload, **flags)
+        return wire.Ipv4Packet(src_ip=B_IP, dst_ip=A_IP, protocol=wire.PROTO_TCP,
+                               payload=seg.encode(B_IP, A_IP))
+
+    layer.inbound.send([packet(6000, 7000, 5000, b"one", flag_ack=True),
+                        packet(6000, 7000, 5003, b"two", flag_ack=True),
+                        packet(6001, 7001, 900, flag_syn=True),
+                        packet(6002, 7002, 1, b"late", flag_ack=True),
+                        packet(6000, 7000, 5006, b"three", flag_ack=True)])
+    layer.inbound.close()
+    layer._dealer_loop()  # takes the burst, then shuts the layer down
+    assert [seg.payload for seg in x._inbox] == [b"one", b"two", b"three"]
+    [child] = [t for t in layer.connections() if t.local[1] == 7001]
+    assert TcbState.SYN_RCVD in child.history and spawned == ["tcp-conn-7001"]
+    assert layer.counters.get("tcp.rst.no_listener") == 1
+    [refusal] = [wire.decode("tcp", raw) for raw in sent]
+    assert refusal.flag_rst and (refusal.src_port, refusal.dst_port) == (7002, 6002)
