@@ -10,7 +10,12 @@ resolutions of one address share a single pending entry, so the wire
 sees at most MAX_REQUESTS requests no matter how many callers are
 waiting.  A resolver that may not wait, a dealer answering a peer,
 fails on a miss instead and sends no request, so a spoofed source can
-neither stall that dealer nor grow the pending table.
+neither stall that dealer nor grow the pending table.  Such a dealer
+hands its answer to this dealer instead (``send_if_cached``), which
+sends it if the address is cached by the time it gets there.  The
+inbox is a FIFO and the Ethernet dealer hands frames up in wire order,
+so that is after every ARP packet that arrived before the packet being
+answered: a peer that announced itself and then spoke is answered.
 """
 
 from __future__ import annotations
@@ -75,6 +80,19 @@ class ArpLayer:
                                     f"after {MAX_REQUESTS} requests")
         return mac
 
+    def send_if_cached(self, ip: bytes, ethertype: int, payloads: list,
+                       unroutable: str) -> None:
+        """Have the dealer send payloads to ip once it has taken every message
+        queued before them, if ip is cached by then; otherwise count
+        unroutable.  Neither this call nor the dealer waits or asks the wire."""
+        try:
+            queued = self.inbound.send_nowait(("send", bytes(ip), ethertype, payloads,
+                                               unroutable))
+        except Closed:
+            queued = False
+        if not queued:
+            self.counters.incr(unroutable)
+
     def add_static(self, ip: bytes, mac: bytes) -> None:
         """Prime the cache, e.g. from a reply observed out of band."""
         self.inbound.send(("static", bytes(ip), bytes(mac)))
@@ -99,6 +117,8 @@ class ArpLayer:
                     self._handle_frame(frame)
             elif msg[0] == "resolve":
                 self._handle_resolve(msg[1], msg[2])
+            elif msg[0] == "send":
+                self._send_if_cached(*msg[1:])
             elif msg[0] == "static":
                 self._cache[msg[1]] = (msg[2], time.monotonic())
                 self._publish()
@@ -133,6 +153,15 @@ class ArpLayer:
                                    target_mac=pkt.sender_mac, target_ip=pkt.sender_ip)
             self.eth.send(pkt.sender_mac, wire.ETHERTYPE_ARP, reply.encode())
             self.counters.incr("arp.tx.reply")
+
+    def _send_if_cached(self, ip: bytes, ethertype: int, payloads: list,
+                        unroutable: str) -> None:
+        cached = self._cache.get(ip)
+        if cached is None or time.monotonic() - cached[1] >= self.cache_ttl_s:
+            self.counters.incr(unroutable)
+            return
+        for payload in payloads:
+            self.eth.send(cached[0], ethertype, payload)
 
     def _handle_resolve(self, ip: bytes, reply_q: MessageQueue) -> None:
         cached = self._cache.get(ip)

@@ -21,7 +21,8 @@ frame, packet or segment one wake of the sending task found, in arrival
 order, as in Linux's list-based receive (``netif_receive_skb_list``).  A
 queue counts a burst of n as n toward its capacity and its ``len``, so a
 queue's bound is still a bound on frames, and the send, receive, lock
-and wake are paid once per burst instead of once per frame.
+and wake are paid once per burst instead of once per frame.  A task that
+handles one unit at a time reads through ``queue.units()``.
 """
 
 from __future__ import annotations
@@ -52,16 +53,17 @@ class Condition(threading.Condition):
             super().notify_all()
 
 
-def units(item) -> int:
+def weight(item) -> int:
     """What an item counts toward a queue's capacity: a burst (a list) its
-    length, anything else one."""
-    return len(item) if type(item) is list else 1
+    length, anything else one.  An empty burst counts one too, so a queue
+    holds at most ``capacity`` items of any kind."""
+    return max(1, len(item)) if type(item) is list else 1
 
 
 class MessageQueue:
     """Bounded FIFO channel between tasks.
 
-    ``capacity`` bounds the units held (see ``units``), and ``len`` counts
+    ``capacity`` bounds the units held (see ``weight``), and ``len`` counts
     them.  send blocks until the item fits; a burst larger than the whole
     capacity goes in slices that do.  recv blocks while the queue is empty
     and returns one item, a whole burst.  A call that finds room or data
@@ -83,7 +85,7 @@ class MessageQueue:
         self._closed = False
 
     def send(self, item, timeout: float = None) -> None:
-        n = units(item)
+        n = weight(item)
         if n > self.capacity:  # it could never fit whole
             for i in range(0, n, self.capacity):
                 self.send(item[i:i + self.capacity], timeout)
@@ -101,7 +103,7 @@ class MessageQueue:
 
     def send_nowait(self, item) -> bool:
         """Non-blocking send; returns False instead of waiting for room."""
-        n = units(item)
+        n = weight(item)
         with self._lock:
             if self._closed:
                 raise Closed("queue is closed")
@@ -119,7 +121,7 @@ class MessageQueue:
                 raise Timeout("recv timed out on an empty queue")
             if self._items:
                 item = self._items.popleft()
-                self._count -= units(item)
+                self._count -= weight(item)
                 self._not_full.notify()
                 return item
             raise Closed("queue is closed")
@@ -135,6 +137,40 @@ class MessageQueue:
 
     def __iter__(self):
         """Receive until the queue is closed and drained."""
+        while True:
+            try:
+                yield self.recv()
+            except Closed:
+                return
+
+    def units(self) -> "Units":
+        """A reader that takes this queue's bursts one unit at a time."""
+        return Units(self)
+
+
+class Units:
+    """One reader's view of a queue that carries bursts: each unit of a
+    burst in order, and any item that is not a burst as it is.
+
+    ``recv`` takes the next burst only when the last one is used up, so a
+    reader sees what it would see if every unit had come on its own, and
+    the queue still pays one receive per burst.  Iterating ends when the
+    queue is closed and drained, as iterating the queue does.
+    """
+
+    def __init__(self, queue: MessageQueue):
+        self.queue = queue
+        self._held = deque()
+
+    def recv(self, timeout: float = None):
+        while not self._held:
+            item = self.queue.recv(timeout)
+            if type(item) is not list:
+                return item
+            self._held.extend(item)
+        return self._held.popleft()
+
+    def __iter__(self):
         while True:
             try:
                 yield self.recv()
@@ -192,12 +228,12 @@ class BindingRegistry:
         with self._lock:
             queue = self._map.get(key)
         if queue is None:
-            self._counters.incr(f"{self.name}.drop.unbound", units(msg))
+            self._counters.incr(f"{self.name}.drop.unbound", weight(msg))
             return False
         try:
             queue.send(msg)
         except Closed:
-            self._counters.incr(f"{self.name}.drop.closed", units(msg))
+            self._counters.incr(f"{self.name}.drop.closed", weight(msg))
             return False
         return True
 

@@ -1,12 +1,13 @@
 """Ethernet: ethertype demux inbound, framing outbound.
 
-The link reader waits for a frame, then takes every frame the device
-already holds, up to the inbox's capacity, and hands them to the dealer
-as one burst with a non-blocking send.  That models a NIC ring that
-overflows rather than stalling the wire: the frames that do not fit are
-dropped, each counted as ``link.drop.overflow``.  Everything above this
-layer blocks instead.  The dealer sends one burst per ethertype for each
-burst it takes, as NAPI's poll hands a list up the stack.
+The link reader waits for a frame and takes, in the same device call
+(``read_frames``), every frame the device already holds behind it, up
+to the inbox's capacity; it hands them to the dealer as one burst with
+a non-blocking send.  That models a NIC ring that overflows rather than
+stalling the wire: the frames that do not fit are dropped, each counted
+as ``link.drop.overflow``.  Everything above this layer blocks instead.
+The dealer sends one burst per run of one ethertype in each burst it
+takes, as NAPI's poll hands a list up the stack.
 
 Teardown starts here: when the device is closed, the link reader closes
 the dealer's inbox, and the dealer, once it has drained it, closes every
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
-from netstack.errors import Closed, FrameTooLarge, Timeout, WireError
+from netstack.errors import Closed, FrameTooLarge, WireError
 
 
 class EthernetLayer:
@@ -35,18 +36,12 @@ class EthernetLayer:
         self.tasks.spawn("eth-dealer", self._dealer_loop)
 
     def _read_loop(self) -> None:
-        read, inbound = self.device.read_frame, self.inbound
-        closed = False
-        while not closed:
-            burst = []
+        read, inbound = self.device.read_frames, self.inbound
+        while True:
             try:
-                burst.append(read())
-                while len(burst) < inbound.capacity:
-                    burst.append(read(0))
-            except Timeout:
-                pass
+                burst = read(inbound.capacity)
             except Closed:
-                closed = True
+                break
             # only this task adds to inbound or closes it, so the room can only grow
             room = inbound.capacity - len(inbound)
             if len(burst) > room:
@@ -58,7 +53,11 @@ class EthernetLayer:
 
     def _dealer_loop(self) -> None:
         for burst in self.inbound:
-            by_type = {}  # ethertype -> frames, in arrival order
+            # one burst per run of one ethertype: a frame is never handed up
+            # before one that came ahead of it on the wire, so an ARP packet
+            # is in the ARP dealer's inbox before any IPv4 packet behind it
+            # reaches the IP dealer
+            run, ethertype = [], None
             for raw in burst:
                 try:
                     frame = wire.decode("ethernet", raw)
@@ -68,9 +67,13 @@ class EthernetLayer:
                 if frame.dst_mac != self.mac and frame.dst_mac != addr.BROADCAST_MAC:
                     self.counters.incr("eth.drop.foreign")
                     continue
-                by_type.setdefault(frame.ethertype, []).append(frame)
-            for ethertype, frames in by_type.items():
-                self.registry.dispatch(ethertype, frames)
+                if frame.ethertype != ethertype and run:
+                    self.registry.dispatch(ethertype, run)
+                    run = []
+                ethertype = frame.ethertype
+                run.append(frame)
+            if run:
+                self.registry.dispatch(ethertype, run)
         self.registry.close()
 
     def send(self, dst_mac: bytes, ethertype: int, payload: bytes) -> None:

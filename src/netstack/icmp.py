@@ -4,7 +4,9 @@ The dealer builds and sends each reply itself, inline, as the TCP dealer
 sends a refusal.  A requester has to ARP us before it can ping us, and the
 ARP dealer caches the sender of every ARP packet aimed at us, so resolving
 the reply's next hop is normally a hit on the published cache.  A miss
-does not wait: the reply is dropped as ``icmp.drop.reply_unroutable``.
+does not wait: the reply goes to the ARP dealer, which sends it if it
+has learned the requester by then and otherwise counts it as
+``icmp.drop.reply_unroutable``.
 An echo reply goes to the pinger waiting on its (identifier, sequence).
 When the dealer's inbox ends, it closes every pinger's reply queue and
 takes no more waiters, so a ping in flight at teardown, or started after
@@ -56,17 +58,16 @@ class IcmpPing:
     # --- inbound ---
 
     def _dealer_loop(self) -> None:
-        for burst in self.inbound:
-            for datagram in burst:
-                try:
-                    echo = wire.decode("icmp", datagram.payload)
-                except WireError:
-                    self.counters.incr("icmp.drop.decode")
-                    continue
-                if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
-                    self._reply(datagram.src_ip, echo)
-                else:
-                    self._route_reply(echo)
+        for datagram in self.inbound.units():
+            try:
+                echo = wire.decode("icmp", datagram.payload)
+            except WireError:
+                self.counters.incr("icmp.drop.decode")
+                continue
+            if echo.icmp_type == wire.ICMP_ECHO_REQUEST:
+                self._reply(datagram.src_ip, echo)
+            else:
+                self._route_reply(echo)
         # no reply can come now: each ping still waiting counts as lost at once
         with self._waiters_lock:
             self._ended = True
@@ -91,7 +92,8 @@ class IcmpPing:
                               sequence=request.sequence,
                               data=request.data)
         try:
-            self.ipv4.send(src, wire.PROTO_ICMP, reply.encode(), wait=False)
+            self.ipv4.send(src, wire.PROTO_ICMP, reply.encode(),
+                           unroutable="icmp.drop.reply_unroutable")
         except NetstackError:
             self.counters.incr("icmp.drop.reply_unroutable")
 

@@ -27,7 +27,7 @@ import time
 
 from netstack import addr, wire
 from netstack.csp import BindingRegistry, Counters, MessageQueue, TaskSet
-from netstack.errors import Closed, LengthError, NoRoute, Timeout, WireError
+from netstack.errors import Closed, LengthError, NoRoute, ResolutionTimeout, Timeout, WireError
 
 
 def fragment_payload(payload: bytes, mtu: int) -> list[tuple[int, bool, bytes]]:
@@ -241,8 +241,17 @@ class Ipv4Layer:
         with self._ident_lock:
             return next(self._ident) & 0xFFFF
 
-    def send(self, dst: bytes, protocol: int, payload: bytes, wait: bool = True) -> None:
-        """Route, resolve (an ARP miss fails at once unless wait), fragment, emit."""
+    def send(self, dst: bytes, protocol: int, payload: bytes,
+             unroutable: str = None) -> None:
+        """Route, resolve, fragment, emit.
+
+        A sender that may not wait on ARP, a dealer answering a peer, names
+        the counter its datagram counts if the next hop is unknown.  Its send
+        never waits: on a miss in the published ARP cache the datagram goes
+        to the ARP dealer, behind every ARP packet that reached us before the
+        packet being answered, and leaves only if that taught the dealer the
+        next hop (``ArpLayer.send_if_cached``).
+        """
         if len(payload) > 65515:
             raise LengthError(f"ip payload of {len(payload)} bytes exceeds 65515")
         dst = bytes(dst)
@@ -256,21 +265,33 @@ class Ipv4Layer:
             except Closed:
                 pass
             return
-        dst_mac = self._resolve_next_hop(dst, wait)
+        next_hop = self._next_hop(dst)
+        try:
+            dst_mac = (addr.BROADCAST_MAC if next_hop is None
+                       else self.arp.resolve(next_hop, unroutable is None))
+        except ResolutionTimeout:
+            if unroutable is None:
+                raise
+            dst_mac = None  # the ARP dealer decides
         ident = self.next_identification()
+        held = []
         for offset_units, more, chunk in fragment_payload(payload, self.mtu):
             # positional, in field order: addresses, protocol, payload, id, ttl, DF, MF, offset
-            packet = wire.Ipv4Packet(self.our_ip, dst, protocol, chunk,
-                                     ident, 64, False, more, offset_units)
-            self.eth.send(dst_mac, wire.ETHERTYPE_IPV4, packet.encode())
+            raw = wire.Ipv4Packet(self.our_ip, dst, protocol, chunk,
+                                  ident, 64, False, more, offset_units).encode()
+            if dst_mac is None:
+                held.append(raw)
+            else:
+                self.eth.send(dst_mac, wire.ETHERTYPE_IPV4, raw)
+        if held:
+            self.arp.send_if_cached(next_hop, wire.ETHERTYPE_IPV4, held, unroutable)
 
-    def _resolve_next_hop(self, dst: bytes, wait: bool) -> bytes:
+    def _next_hop(self, dst: bytes) -> bytes | None:
+        """The address to resolve for dst; None for a broadcast."""
         if dst in self.broadcasts:
-            return addr.BROADCAST_MAC
+            return None
         if addr.ip_to_int(dst) & self._mask == self._subnet:
-            next_hop = dst
-        elif self.gateway is not None:
-            next_hop = self.gateway
-        else:
-            raise NoRoute(f"{addr.format_ip(dst)} is off-subnet and no gateway is set")
-        return self.arp.resolve(next_hop, wait)
+            return dst
+        if self.gateway is not None:
+            return self.gateway
+        raise NoRoute(f"{addr.format_ip(dst)} is off-subnet and no gateway is set")

@@ -100,6 +100,13 @@ class _Direction:
                     raise Timeout("no frame within timeout")
                 self._cond.wait(wait)
 
+    def take_due(self, out: list, n: int) -> None:
+        """Append the frames already due, in order, until out holds n; never waits."""
+        with self._lock:
+            frames, now = self._frames, time.monotonic()
+            while frames and len(out) < n and frames[0][0] <= now:
+                out.append(frames.popleft()[1])
+
     def close(self) -> None:
         with self._cond:
             if self._held is not None:  # flush so a lossless wire never eats a frame
@@ -125,6 +132,13 @@ class EmulatedEnd:
         if self._closed:
             raise Closed("device is closed")
         return self._in.get(timeout)
+
+    def read_frames(self, n: int, timeout: float = None) -> list:
+        """The next frame, waited for as read_frame waits, and every frame
+        already due behind it, up to n in all, in arrival order."""
+        frames = [self.read_frame(timeout)]
+        self._in.take_due(frames, n)
+        return frames
 
     def write_frame(self, frame: bytes) -> None:
         if len(frame) > self.mtu + ETH_HEADER:
@@ -194,6 +208,19 @@ class TapDevice:
                 raise Closed(f"tap read failed: {e}") from None
             if len(frame) >= ETH_HEADER:
                 return frame
+
+    def read_frames(self, n: int, timeout: float = None) -> list:
+        """The next frame, waited for as read_frame waits, and every frame
+        the driver already holds behind it, up to n in all."""
+        frames = [self.read_frame(timeout)]
+        try:
+            while len(frames) < n and select.select([self._fd], [], [], 0)[0]:
+                frame = os.read(self._fd, self.mtu + ETH_HEADER + 64)
+                if len(frame) >= ETH_HEADER:
+                    frames.append(frame)
+        except (OSError, ValueError):
+            pass  # closed meanwhile: the next read reports it
+        return frames
 
     def write_frame(self, frame: bytes) -> None:
         if len(frame) > self.mtu + ETH_HEADER:

@@ -796,8 +796,8 @@ class TcpLayer:
             ack=seq_add(seg.seq, seg.seq_span()),
             flag_rst=True, flag_ack=True)
         try:
-            self.ipv4.send(peer_ip, wire.PROTO_TCP,
-                           rst.encode(self.our_ip, peer_ip), wait=False)
+            self.ipv4.send(peer_ip, wire.PROTO_TCP, rst.encode(self.our_ip, peer_ip),
+                           unroutable="tcp.drop.unroutable")
         except NetstackError:
             self.counters.incr("tcp.drop.unroutable")
 

@@ -79,23 +79,22 @@ class UdpLayer:
             sock.close()
 
     def _dealer_loop(self) -> None:
-        for burst in self.inbound:
-            for datagram in burst:
-                try:
-                    dgram = wire.decode("udp", datagram.payload,
-                                        src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
-                except WireError:
-                    self.counters.incr("udp.drop.decode")
-                    continue
-                with self._lock:
-                    sock = self._ports.get(dgram.dst_port)
-                if sock is None:
-                    self.counters.incr("udp.drop.unbound")
-                    continue
-                try:
-                    if not sock.queue.send_nowait((datagram.src_ip, dgram.src_port,
-                                                   dgram.payload)):
-                        self.counters.incr("udp.drop.full")
-                except Closed:
-                    self.counters.incr("udp.drop.closed")
+        for datagram in self.inbound.units():
+            try:
+                dgram = wire.decode("udp", datagram.payload,
+                                    src_ip=datagram.src_ip, dst_ip=datagram.dst_ip)
+            except WireError:
+                self.counters.incr("udp.drop.decode")
+                continue
+            with self._lock:
+                sock = self._ports.get(dgram.dst_port)
+            if sock is None:
+                self.counters.incr("udp.drop.unbound")
+                continue
+            try:
+                if not sock.queue.send_nowait((datagram.src_ip, dgram.src_port,
+                                               dgram.payload)):
+                    self.counters.incr("udp.drop.full")
+            except Closed:
+                self.counters.incr("udp.drop.closed")
         self.close_all()

@@ -2,7 +2,6 @@
 TCB on a stub layer that tests drive without threads."""
 
 import time
-from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -28,24 +27,6 @@ def fast_config(ip: str, mac: str, **overrides) -> StackConfig:
     )
     values.update(overrides)
     return StackConfig(**values)
-
-
-class Unbursted:
-    """Reads a queue bound in a registry, which receives bursts, one unit at a time.
-
-    ``recv`` returns the units of each burst in order and takes the next
-    burst only when the last is used up, so a test sees exactly what it
-    would see if every unit came on its own.
-    """
-
-    def __init__(self, queue):
-        self.queue = queue
-        self._held = deque()
-
-    def recv(self, timeout: float = None):
-        if not self._held:
-            self._held.extend(self.queue.recv(timeout))
-        return self._held.popleft()
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import ScriptedPeer, Unbursted, fast_config, tcp_task_names, wait_until
+from conftest import ScriptedPeer, fast_config, tcp_task_names, wait_until
 
 from netstack import addr, bench, errors, stack, wire
 from netstack.csp import MessageQueue
@@ -82,7 +82,7 @@ def test_criterion_03_fragmentation_identity_under_permutation(rig):
     a, _b = rig()
     q = MessageQueue(64)
     a.ipv4.registry.bind(TEST_PROTO, q)
-    q = Unbursted(q)
+    q = q.units()
     rng = random.Random(3003)
     ident = itertools.count(1)
     for mtu in (576, 1500):

@@ -3,14 +3,16 @@
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import wait_until
 
 from netstack import addr, errors, link, stack, wire
-from netstack.arp import MAX_REQUESTS
+from netstack.arp import MAX_REQUESTS, ArpLayer
 from netstack.config import StackConfig
+from netstack.csp import Counters
 
 
 def test_two_stacks_resolve_each_other(rig):
@@ -173,3 +175,28 @@ def test_expired_cache_entries_are_not_returned():
     finally:
         a.down()
         b.down()
+
+
+def test_a_handed_over_reply_leaves_only_if_an_arp_packet_ahead_of_it_taught_the_dealer():
+    """A peer's announcement, then a reply to it and one to a host nobody
+    announced, through the ARP dealer with no thread."""
+    ours, theirs, stranger = (addr.parse_ip(ip) for ip in ("10.0.0.1", "10.0.0.2", "10.0.0.9"))
+    their_mac = b"\x02\x00\x00\x00\x00\x02"
+    sent = []
+    eth = SimpleNamespace(mac=b"\x02\x00\x00\x00\x00\x01",
+                          send=lambda mac, ethertype, payload: sent.append((mac, payload)))
+    layer = ArpLayer(eth, ours, Counters(), None, queue_capacity=8)
+    announce = wire.ArpPacket(opcode=wire.ARP_REPLY, sender_mac=their_mac, sender_ip=theirs,
+                              target_mac=b"\xff" * 6, target_ip=ours)
+    layer.inbound.send([wire.EthernetFrame(b"\xff" * 6, their_mac, wire.ETHERTYPE_ARP,
+                                           announce.encode())])
+    assert theirs not in layer._published  # the dealer has not taken the burst yet
+    layer.send_if_cached(theirs, wire.ETHERTYPE_IPV4, [b"rst"], "tcp.drop.unroutable")
+    layer.send_if_cached(stranger, wire.ETHERTYPE_IPV4, [b"echo"],
+                         "icmp.drop.reply_unroutable")
+    layer.inbound.close()
+    layer._dealer_loop()
+    assert sent == [(their_mac, b"rst")]
+    assert layer.counters.get("tcp.drop.unroutable") == 0
+    assert layer.counters.get("icmp.drop.reply_unroutable") == 1
+    assert layer.counters.get("arp.tx.request") == 0

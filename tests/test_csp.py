@@ -139,6 +139,32 @@ def test_a_burst_counts_each_unit_toward_capacity_and_len():
     assert len(q) == 2
 
 
+def test_an_empty_burst_still_takes_a_slot():
+    q = MessageQueue(1)
+    assert q.send_nowait([])
+    assert len(q) == 1
+    assert not q.send_nowait([])
+    with pytest.raises(errors.Timeout):
+        q.send([], timeout=0.05)
+
+
+def test_units_reads_each_unit_of_each_burst_in_order():
+    q = MessageQueue(8)
+    q.send([1, 2])
+    q.send([])
+    q.send("one message")
+    q.send([3])
+    reader = q.units()
+    assert reader.recv() == 1
+    assert len(q) == 3  # the burst left the queue whole; its rest waits in the reader
+    assert reader.recv(timeout=0.05) == 2
+    assert reader.recv(timeout=0.05) == "one message"  # the empty burst yields nothing
+    q.close()
+    assert list(reader) == [3]
+    with pytest.raises(errors.Closed):
+        reader.recv()
+
+
 def test_a_burst_that_does_not_fit_waits_for_room():
     q = MessageQueue(4)
     q.send([1, 2, 3])

@@ -2,7 +2,7 @@
 
 import threading
 
-from conftest import Unbursted, wait_until
+from conftest import wait_until
 
 from netstack import errors, wire
 from netstack.csp import Counters, MessageQueue
@@ -14,7 +14,7 @@ def test_outbound_frames_carry_our_mac_and_ethertype(rig):
     # a raw payload pushed straight out through the ethernet layer
     seen = MessageQueue(16)
     b.eth.registry.bind(0x1234, seen)
-    seen = Unbursted(seen)
+    seen = seen.units()
     a.eth.send(b.eth.mac, 0x1234, b"hello ether")
     frame = seen.recv(timeout=2.0)
     assert frame.src_mac == a.eth.mac
@@ -39,7 +39,7 @@ def test_broadcast_frames_are_accepted(rig):
     a, b = rig()
     seen = MessageQueue(16)
     b.eth.registry.bind(0x88B6, seen)
-    seen = Unbursted(seen)
+    seen = seen.units()
     a.eth.send(b"\xff" * 6, 0x88B6, b"to everyone")
     assert seen.recv(timeout=2.0).payload == b"to everyone"
 
@@ -57,7 +57,7 @@ def test_concurrent_senders_produce_intact_frames(rig):
     a, b = rig()
     seen = MessageQueue(4096)
     b.eth.registry.bind(0x88B7, seen)
-    seen = Unbursted(seen)
+    seen = seen.units()
     n_senders, n_each = 20, 5
 
     def sender(sid):
@@ -78,22 +78,25 @@ def test_concurrent_senders_produce_intact_frames(rig):
 
 
 class _Ring:
-    """A device whose frames have all arrived: a read takes the next one, and
-    a pause in the script is a read that finds none.  The end is Closed."""
+    """A device whose frames have all arrived: a read takes every frame up to
+    the next pause in the script, and a pause ends one read.  The end is
+    Closed."""
 
     PAUSE = object()
 
     def __init__(self, script):
         self.script = list(script)
 
-    def read_frame(self, timeout: float = None) -> bytes:
-        while self.script:
+    def read_frames(self, n: int, timeout: float = None) -> list:
+        frames = []
+        while self.script and len(frames) < n:
             item = self.script.pop(0)
-            if item is not self.PAUSE:
-                return item
-            if timeout is not None:
-                raise errors.Timeout("no frame yet")
-        raise errors.Closed("device is closed")
+            if item is self.PAUSE:
+                break
+            frames.append(item)
+        if not frames:
+            raise errors.Closed("device is closed")
+        return frames
 
 
 def test_link_reader_hands_over_bursts_and_counts_each_frame_it_drops():

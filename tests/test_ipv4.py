@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from conftest import Unbursted, wait_until
+from conftest import wait_until
 
 from netstack import addr, errors, wire
-from netstack.csp import MessageQueue
+from netstack.csp import MessageQueue, Units
 from netstack.ipv4 import fragment_payload
 
 A_IP = addr.parse_ip("10.0.0.1")
@@ -19,10 +19,10 @@ B_IP = addr.parse_ip("10.0.0.2")
 TEST_PROTO = 253
 
 
-def _bind_test_proto(s) -> Unbursted:
+def _bind_test_proto(s) -> Units:
     q = MessageQueue(64)
     s.ipv4.registry.bind(TEST_PROTO, q)
-    return Unbursted(q)
+    return q.units()
 
 
 def _encoded_fragments(payload, mtu, src=B_IP, dst=A_IP, ident=41):

@@ -23,6 +23,25 @@ def test_lossless_wire_is_identity():
     assert a.read_frame(timeout=1.0) == _frame(2)
 
 
+def test_read_frames_takes_the_frames_already_due_without_a_timeout():
+    a, b = create_wire_pair()
+    for i in range(5):
+        a.write_frame(_frame(i))
+    assert b.read_frames(3, timeout=1.0) == [_frame(0), _frame(1), _frame(2)]
+    assert b.read_frames(3, timeout=1.0) == [_frame(3), _frame(4)]  # nothing more due
+    with pytest.raises(errors.Timeout):
+        b.read_frames(3, timeout=0.05)  # only the wait for the first frame times out
+
+
+def test_read_frames_leaves_a_frame_that_is_not_yet_due():
+    a, b = create_wire_pair(ImpairmentProfile(delay=0.2))
+    a.write_frame(_frame(1))
+    time.sleep(0.25)
+    a.write_frame(_frame(2))  # due 0.2 s from now
+    assert b.read_frames(4, timeout=1.0) == [_frame(1)]
+    assert b.read_frames(4, timeout=1.0) == [_frame(2)]
+
+
 def test_full_loss_delivers_nothing():
     a, b = create_wire_pair(ImpairmentProfile(loss_rate=1.0))
     for i in range(20):

@@ -562,9 +562,6 @@ def test_stray_segment_gets_rst(solo):
     s, far_end = solo()
     peer = ScriptedPeer(far_end, ip=B_IP)
     peer.announce(A_IP)
-    # the refusal resolves without waiting, and the ARP dealer learns the
-    # peer in parallel with the segment's way up: let it learn first
-    assert wait_until(lambda: B_IP in s.arp._published)
     peer.send_tcp(A_IP, A_MAC, src_port=6002, dst_port=9999,
                   seq=100, ack=77, flag_ack=True, payload=b"who are you")
     rst = peer.expect_tcp(lambda g: g.flag_rst)
@@ -943,7 +940,7 @@ def test_our_abort_resets_a_peer_that_answers_it_with_a_challenge_ack():
     assert theirs.state is TcbState.ESTABLISHED
     assert not ours.deliver(challenge)  # CLOSED: the dealer refuses it
     sent = []
-    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, wait: sent.append(raw)),
+    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, unroutable: sent.append(raw)),
                      StackConfig(ip="10.0.0.1", mac="02:00:00:00:00:01"), Counters(), None)
     layer._refuse(B_IP, challenge)
     [refusal] = [wire.decode("tcp", raw) for raw in sent]
@@ -1062,7 +1059,7 @@ def test_one_burst_reaches_each_connection_in_order_opens_a_child_and_refuses():
     """A burst: two segments for X, a SYN to a listener, a segment for a
     CLOSED TCB and one more for X, through the dealer with no thread."""
     sent, spawned = [], []
-    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, wait: sent.append(raw)),
+    layer = TcpLayer(SimpleNamespace(send=lambda dst, proto, raw, unroutable: sent.append(raw)),
                      StackConfig(ip="10.0.0.1", mac="02:00:00:00:00:01"), Counters(),
                      SimpleNamespace(spawn=lambda name, fn, *args: spawned.append(name)))
     x = Tcb(layer, local=(A_IP, 7000), remote=(B_IP, 6000))
