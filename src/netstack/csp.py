@@ -57,7 +57,7 @@ def weight(item) -> int:
     """What an item counts toward a queue's capacity: a burst (a list) its
     length, anything else one.  An empty burst counts one too, so a queue
     holds at most ``capacity`` items of any kind."""
-    return max(1, len(item)) if type(item) is list else 1
+    return (len(item) or 1) if type(item) is list else 1
 
 
 class MessageQueue:

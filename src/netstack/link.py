@@ -102,6 +102,8 @@ class _Direction:
 
     def take_due(self, out: list, n: int) -> None:
         """Append the frames already due, in order, until out holds n; never waits."""
+        if not self._frames:  # a frame put from now on is the next wake's
+            return
         with self._lock:
             frames, now = self._frames, time.monotonic()
             while frames and len(out) < n and frames[0][0] <= now:
